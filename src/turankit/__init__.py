@@ -4,27 +4,22 @@ exact forbidden-pattern optima, and odd-bipartite stability diagnostics."""
 
 from .hypergraph import (
     MAX_VERTICES,
-    DegreeProfile,
     Hypergraph,
     RegionProfile,
     VertexMap,
     canonical_regions,
     copies_of,
-    degree_profile,
-    drop_vertex,
     edge_mask,
     edge_vertices,
     find_isomorphism,
     format_hypergraph,
     from_masks,
-    is_free_of,
     is_isomorphic,
     link,
     make_hypergraph,
     max_degree,
     min_positive_degree,
     parse_hypergraph,
-    truncate_vertex,
 )
 from .constructions import (
     Partition,

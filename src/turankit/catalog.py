@@ -8,7 +8,6 @@ hypergraphs, so no labeled search or canonical-form machinery is needed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,9 +15,10 @@ from .constructions import expanded_triangle, suspension
 from .hypergraph import (
     Hypergraph,
     RegionProfile,
+    canonical_profile,
+    canonical_regions,
     edge_mask,
     from_masks,
-    is_isomorphic,
     max_degree,
     min_positive_degree,
 )
@@ -76,39 +76,17 @@ def _canonical_profiles(r: int) -> list[tuple[int, ...]]:
                         continue
                     if a2 + a12 + a3 + a13 == 0:
                         continue
-                    profile = (a1, a2, a3, a12, a13, a23, a123)
-                    canon = min(
-                        (
-                            profile[p[0]],
-                            profile[p[1]],
-                            profile[p[2]],
-                            profile[q[0]],
-                            profile[q[1]],
-                            profile[q[2]],
-                            profile[6],
-                        )
-                        for p, q in _S3_ACTION
-                    )
-                    seen.add(canon)
+                    seen.add(canonical_profile((a1, a2, a3, a12, a13, a23, a123)))
     return sorted(seen)
 
 
-def _s3_action() -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    # Relabeling the three edges permutes the singleton regions like the
-    # labels and the pair regions like the label pairs.
-    pair_index = {frozenset((0, 1)): 3, frozenset((0, 2)): 4, frozenset((1, 2)): 5}
-    action = []
-    for perm in itertools.permutations(range(3)):
-        singles = (perm.index(0), perm.index(1), perm.index(2))
-        pairs = tuple(
-            pair_index[frozenset((perm.index(a), perm.index(b)))]
-            for a, b in ((0, 1), (0, 2), (1, 2))
-        )
-        action.append((singles, pairs))
-    return action
-
-
-_S3_ACTION = _s3_action()
+def suspension_width(profile: tuple[int, ...], r: int) -> Optional[int]:
+    """Width i such that the class with this canonical region profile is the
+    r-suspension of the width-i expanded triangle; None if there is none."""
+    for i in range(1, r // 2 + 1):
+        if canonical_regions(*suspension(expanded_triangle(i), r).edges) == tuple(profile):
+            return i
+    return None
 
 
 def realize_profile(profile: tuple[int, ...], r: int) -> Hypergraph:
@@ -135,22 +113,11 @@ def enumerate_three_edge(r: int) -> ThreeEdgeCatalog:
     if not MIN_UNIFORMITY <= r <= MAX_UNIFORMITY:
         raise ValueError(f"uniformity {r} outside the supported range "
                          f"{MIN_UNIFORMITY}..{MAX_UNIFORMITY}")
-    targets = {
-        i: suspension(expanded_triangle(i), r) for i in range(1, r // 2 + 1)
-    }
     entries = []
     for profile in _canonical_profiles(r):
         rep = realize_profile(profile, r)
         delta = min_positive_degree(rep)
-        index = None
-        if delta >= 2:
-            matches = [i for i, t in targets.items() if is_isomorphic(rep, t)]
-            if len(matches) == 1:
-                index = matches[0]
-            elif len(matches) > 1:
-                raise RuntimeError(
-                    f"class {profile} matched several suspension targets {matches}"
-                )
+        index = suspension_width(profile, r) if delta >= 2 else None
         entries.append(
             CatalogEntry(
                 profile=RegionProfile(*profile),

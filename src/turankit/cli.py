@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .catalog import enumerate_three_edge, verify_classification
+from .catalog import enumerate_three_edge, suspension_width, verify_classification
 from .constructions import (
     Partition,
     complete_rgraph,
@@ -86,23 +86,17 @@ def _named_family(name: str, args) -> Optional[tuple[Hypergraph, str]]:
     if name == "k4minus":
         return suspension(expanded_triangle(1), 3), "k4minus"
     if name == "expanded-triangle":
-        k = getattr(args, "k", None)
-        if k is None:
-            raise UsageError("expanded-triangle needs --k")
-        return expanded_triangle(k), f"expanded-triangle(k={k})"
+        _require(args, name, "k")
+        return expanded_triangle(args.k), f"expanded-triangle(k={args.k})"
     if name == "suspended-expanded-triangle":
-        i = getattr(args, "i", None)
-        r = getattr(args, "r", None)
-        if i is None or r is None:
-            raise UsageError("suspended-expanded-triangle needs --i and --r")
-        return suspension(expanded_triangle(i), r), f"suspended-expanded-triangle(i={i},r={r})"
+        _require(args, name, "i", "r")
+        return (suspension(expanded_triangle(args.i), args.r),
+                f"suspended-expanded-triangle(i={args.i},r={args.r})")
     if name == "matching":
-        r = getattr(args, "r", None)
-        m = getattr(args, "m", None)
-        if r is None or m is None:
-            raise UsageError("matching needs --r and --m")
-        return matching(r, m), f"matching(r={r},m={m})"
+        _require(args, name, "r", "m")
+        return matching(args.r, args.m), f"matching(r={args.r},m={args.m})"
     return None
+
 
 def _resolve_family(args) -> tuple[Hypergraph, str]:
     selector = args.family
@@ -134,21 +128,13 @@ def _csv_rows(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _suspension_width(profile: tuple[int, ...], r: int) -> Optional[int]:
-    for i in range(1, r // 2 + 1):
-        target = suspension(expanded_triangle(i), r)
-        if canonical_regions(*target.edges) == tuple(profile):
-            return i
-    return None
-
-
 def _reference_lines(profile: tuple[int, ...], r: int) -> list[str]:
     lines = [f"reference: 1/2 three-edge density cap ({REFERENCE_LABEL})"]
     lines.append(
         f"reference: floor(r/2)/r = {r // 2}/{r} "
         f"= {r // 2 / r:.6g} ({REFERENCE_LABEL})"
     )
-    width = _suspension_width(profile, r)
+    width = suspension_width(profile, r)
     if width is not None:
         lines.append(
             f"reference: i/r = {width}/{r} = {width / r:.6g} ({REFERENCE_LABEL})"
@@ -399,6 +385,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.at_least is not None and args.export_format != "cnf":
+        raise UsageError("--at-least applies to --format cnf only")
     f, name = _resolve_family(args)
     system = forbidden_triples(f, args.n, name)
     if args.export_format == "cnf":
@@ -508,39 +496,31 @@ def build_parser() -> _Parser:
     p.add_argument("--target", required=True)
     p.set_defaults(func=cmd_hom)
 
-    p = sub.add_parser("solve", help="exact optimum for a forbidden three-edge family")
-    p.add_argument("--family", required=True, help="named family or hypergraph file")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, help="named family or hypergraph file")
+    family.add_argument("--k", type=int)
+    family.add_argument("--i", type=int)
+    family.add_argument("--r", type=int)
+    family.add_argument("--m", type=int)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget-nodes", type=int, dest="budget_nodes")
+    budget.add_argument("--budget-secs", type=float, dest="budget_secs")
+    budget.add_argument("--seed-construction", action="store_true", dest="seed_construction",
+                        help="seed the incumbent from the odd-bipartite construction when applicable")
+
+    p = sub.add_parser("solve", parents=[family, budget],
+                       help="exact optimum for a forbidden three-edge family")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--budget-nodes", type=int, dest="budget_nodes")
-    p.add_argument("--budget-secs", type=float, dest="budget_secs")
-    p.add_argument("--seed-construction", action="store_true", dest="seed_construction",
-                   help="seed the incumbent from the odd-bipartite construction when applicable")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("density", help="density sequence over a range of n")
-    p.add_argument("--family", required=True)
+    p = sub.add_parser("density", parents=[family, budget], help="density sequence over a range of n")
     p.add_argument("--n-from", type=int, required=True, dest="n_from")
     p.add_argument("--n-to", type=int, required=True, dest="n_to")
-    p.add_argument("--k", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--budget-nodes", type=int, dest="budget_nodes")
-    p.add_argument("--budget-secs", type=float, dest="budget_secs")
-    p.add_argument("--seed-construction", action="store_true", dest="seed_construction")
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("export", help="emit the conflict system as CNF or an integer program")
-    p.add_argument("--family", required=True)
+    p = sub.add_parser("export", parents=[family],
+                       help="emit the conflict system as CNF or an integer program")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--m", type=int)
     p.add_argument("--format", choices=("cnf", "ilp"), required=True, dest="export_format")
     p.add_argument("--at-least", type=int, dest="at_least",
                    help="CNF only: also require at least this many selected edges")

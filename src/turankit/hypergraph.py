@@ -9,6 +9,7 @@ value, which makes hypergraph equality a plain value comparison.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -156,22 +157,6 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 # -- degrees and links ---------------------------------------------------
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    degrees: tuple[int, ...]
-    minimum: int
-    maximum: int
-    average: float
-
-
-def degree_profile(h: Hypergraph) -> DegreeProfile:
-    """Per-vertex degrees with minimum, maximum, and average."""
-    degs = h.degrees()
-    if not degs:
-        return DegreeProfile((), 0, 0, 0.0)
-    return DegreeProfile(tuple(degs), min(degs), max(degs), sum(degs) / len(degs))
-
-
 def min_positive_degree(h: Hypergraph) -> int:
     """Smallest degree among non-isolated vertices; 0 if there are no edges."""
     degs = [d for d in h.degrees() if d > 0]
@@ -194,29 +179,6 @@ def link(h: Hypergraph, v: int) -> Hypergraph:
         raise ValueError("link undefined for 1-uniform hypergraphs")
     bit = 1 << v
     return from_masks(h.n, h.r - 1, (e & ~bit for e in h.edges if e & bit))
-
-
-def truncate_vertex(h: Hypergraph, x: int) -> Hypergraph:
-    """Delete x from every edge. Requires x to lie in every edge.
-
-    The result has uniformity r-1 and the same edge count.
-    """
-    if not 0 <= x < h.n:
-        raise ValueError(f"vertex {x} outside 0..{h.n - 1}")
-    bit = 1 << x
-    if any(not e & bit for e in h.edges):
-        raise ValueError(f"vertex {x} is missing from some edge; cannot truncate")
-    if h.r < 2:
-        raise ValueError("cannot truncate a 1-uniform hypergraph")
-    return from_masks(h.n, h.r - 1, (e & ~bit for e in h.edges))
-
-
-def drop_vertex(h: Hypergraph, x: int) -> Hypergraph:
-    """Keep only the edges avoiding x. Uniformity is unchanged."""
-    if not 0 <= x < h.n:
-        raise ValueError(f"vertex {x} outside 0..{h.n - 1}")
-    bit = 1 << x
-    return from_masks(h.n, h.r, (e for e in h.edges if not e & bit))
 
 
 # -- vertex maps -----------------------------------------------------------
@@ -311,9 +273,23 @@ def _regions(e1: int, e2: int, e3: int) -> tuple[int, ...]:
     return (a1, a2, a3, a12, a13, a23, a123)
 
 
+# Reordering the edges as (a, b, c) permutes the singleton regions like the
+# edge labels and the pair regions like the label pairs; the pair region of
+# edges {i, j} sits at index 2 + i + j.
+_S3_GETTERS = tuple(
+    operator.itemgetter(a, b, c, 2 + a + b, 2 + a + c, 2 + b + c, 6)
+    for a, b, c in itertools.permutations(range(3))
+)
+
+
+def canonical_profile(profile: tuple[int, ...]) -> tuple[int, ...]:
+    """Region counts minimized over the six relabelings of the three edges."""
+    return min([g(profile) for g in _S3_GETTERS])
+
+
 def canonical_regions(e1: int, e2: int, e3: int) -> tuple[int, ...]:
-    """Region counts minimized over the six orderings of the three edges."""
-    return min(_regions(x, y, z) for x, y, z in itertools.permutations((e1, e2, e3)))
+    """Canonical region profile of the three edges."""
+    return canonical_profile(_regions(e1, e2, e3))
 
 
 # -- isomorphism ----------------------------------------------------------
@@ -322,6 +298,62 @@ def _iso_invariants(h: Hypergraph) -> tuple:
     degs = sorted(d for d in h.degrees() if d > 0)
     inters = sorted((a & b).bit_count() for a, b in itertools.combinations(h.edges, 2))
     return (h.r, len(h.edges), h.support_size, tuple(degs), tuple(inters))
+
+
+def _edge_map_search(
+    f1: Hypergraph,
+    f2: Hypergraph,
+    candidates: dict[int, Iterable[int]],
+    injective: bool,
+) -> Optional[dict[int, int]]:
+    """Backtracking search for a vertex map sending every edge of f1 to an edge of f2.
+
+    `candidates` maps each non-isolated vertex of f1 to its allowed images and
+    fixes the assignment order. Forward checking keeps every partial edge
+    image inside some edge of f2 without collapsing two vertices of one edge;
+    with `injective` no two vertices share an image. Returns the first map
+    found, or None when there is none.
+    """
+    order = list(candidates.items())
+    edges2 = f2.edges
+    incident = [[i for i, e in enumerate(f1.edges) if e >> v & 1] for v, _ in order]
+    img_mask = [0] * len(f1.edges)
+    assignment: dict[int, int] = {}
+    used = 0
+
+    def place(idx: int) -> bool:
+        nonlocal used
+        if idx == len(order):
+            return True
+        v, ws = order[idx]
+        for w in ws:
+            wb = 1 << w
+            if injective and used & wb:
+                continue
+            ok = True
+            touched = []
+            for ei in incident[idx]:
+                im = img_mask[ei]
+                if im & wb:
+                    ok = False  # would collapse two vertices of one edge
+                    break
+                im |= wb
+                img_mask[ei] = im
+                touched.append(ei)
+                if not any(im & e == im for e in edges2):
+                    ok = False
+                    break
+            if ok:
+                used |= wb
+                assignment[v] = w
+                if place(idx + 1):
+                    return True
+                used &= ~wb
+            for ei in touched:
+                img_mask[ei] &= ~wb
+        return False
+
+    return assignment if place(0) else None
 
 
 def find_isomorphism(f1: Hypergraph, f2: Hypergraph) -> Optional[dict[int, int]]:
@@ -336,51 +368,8 @@ def find_isomorphism(f1: Hypergraph, f2: Hypergraph) -> Optional[dict[int, int]]
         return None
     degs1, degs2 = f1.degrees(), f2.degrees()
     verts1 = sorted((v for v in range(f1.n) if degs1[v]), key=lambda v: (-degs1[v], v))
-    cand2 = {v: [w for w in range(f2.n) if degs2[w] == degs1[v]] for v in verts1}
-    edges1 = f1.edges
-    incident = {v: [i for i, e in enumerate(edges1) if e >> v & 1] for v in verts1}
-    img_mask = [0] * len(edges1)
-    img_cnt = [0] * len(edges1)
-    assignment: dict[int, int] = {}
-    used = 0
-
-    def extendable(ei: int) -> bool:
-        im = img_mask[ei]
-        return any(im & e == im for e in f2.edges)
-
-    def place(idx: int) -> bool:
-        nonlocal used
-        if idx == len(verts1):
-            return True
-        v = verts1[idx]
-        for w in cand2[v]:
-            wb = 1 << w
-            if used & wb:
-                continue
-            ok = True
-            touched = []
-            for ei in incident[v]:
-                img_mask[ei] |= wb
-                img_cnt[ei] += 1
-                touched.append(ei)
-                if not extendable(ei):
-                    ok = False
-                    break
-            if ok:
-                used |= wb
-                assignment[v] = w
-                if place(idx + 1):
-                    return True
-                used &= ~wb
-                del assignment[v]
-            for ei in touched:
-                img_mask[ei] &= ~wb
-                img_cnt[ei] -= 1
-        return False
-
-    if place(0):
-        return dict(assignment)
-    return None
+    candidates = {v: [w for w in range(f2.n) if degs2[w] == degs1[v]] for v in verts1}
+    return _edge_map_search(f1, f2, candidates, injective=True)
 
 
 def is_isomorphic(f1: Hypergraph, f2: Hypergraph) -> bool:
@@ -452,7 +441,3 @@ def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
                 if canonical_regions(ei, ej, ek) == target:
                     yield (ei, ej, ek)
 
-
-def is_free_of(f: Hypergraph, h: Hypergraph) -> bool:
-    """True when h contains no copy of the three-edge pattern f."""
-    return next(copies_of(f, h), None) is None

@@ -16,6 +16,7 @@ from .constructions import expanded_triangle, suspension
 from .hypergraph import (
     Hypergraph,
     VertexMap,
+    _edge_map_search,
     edge_vertices,
     from_masks,
     max_degree,
@@ -67,49 +68,15 @@ def find_homomorphism(f1: Hypergraph, f2: Hypergraph) -> Optional[VertexMap]:
         return None
 
     degs = f1.degrees()
-    edges1 = f1.edges
     first_edge = {}
     for v in range(f1.n):
         if degs[v]:
-            first_edge[v] = min(i for i, e in enumerate(edges1) if e >> v & 1)
+            first_edge[v] = min(i for i, e in enumerate(f1.edges) if e >> v & 1)
     verts = sorted(first_edge, key=lambda v: (-degs[v], first_edge[v], v))
-    incident = {v: [i for i, e in enumerate(edges1) if e >> v & 1] for v in verts}
-    img_mask = [0] * len(edges1)
-    f2_edges = f2.edges
-    images = [0] * f1.n
-
-    def extendable(ei: int) -> bool:
-        im = img_mask[ei]
-        return any(im & e == im for e in f2_edges)
-
-    def place(idx: int) -> bool:
-        if idx == len(verts):
-            return True
-        v = verts[idx]
-        for w in range(f2.n):
-            wb = 1 << w
-            ok = True
-            touched = []
-            for ei in incident[v]:
-                if img_mask[ei] & wb:
-                    ok = False  # would collapse two vertices of one edge
-                    break
-                img_mask[ei] |= wb
-                touched.append(ei)
-                if not extendable(ei):
-                    ok = False
-                    break
-            if ok:
-                images[v] = w
-                if place(idx + 1):
-                    return True
-            for ei in touched:
-                img_mask[ei] &= ~wb
-        return False
-
-    if place(0):
-        return VertexMap(f1.n, f2.n, tuple(images))
-    return None
+    found = _edge_map_search(f1, f2, {v: range(f2.n) for v in verts}, injective=False)
+    if found is None:
+        return None
+    return VertexMap(f1.n, f2.n, tuple(found.get(v, 0) for v in range(f1.n)))
 
 
 def fold_vertex(f: Hypergraph, x: int, y: int) -> tuple[Hypergraph, VertexMap]:
@@ -196,9 +163,16 @@ def _claim_pair(f: Hypergraph) -> Optional[tuple[int, int]]:
     return None
 
 
-def _degree3_target(r: int) -> Hypergraph:
-    # Smallest max-degree-3 member: one apex over a triangle, suspended to r.
-    return suspension(expanded_triangle(1), r)
+def _into_apex_target(f: Hypergraph) -> tuple[Hypergraph, VertexMap]:
+    """Homomorphism of f into the smallest max-degree-3 member: one apex over
+    a triangle, suspended to f's uniformity."""
+    target = suspension(expanded_triangle(1), f.r)
+    hom = find_homomorphism(f, target)
+    if hom is None:
+        raise AssertionError(
+            f"no homomorphism from {f.edge_vertex_lists()} onto the apex target"
+        )
+    return target, hom
 
 
 def reduce_to_max_degree3(f1: Hypergraph) -> tuple[Hypergraph, VertexMap]:
@@ -221,11 +195,7 @@ def reduce_to_max_degree3(f1: Hypergraph) -> tuple[Hypergraph, VertexMap]:
 
     delta_max = max_degree(f1)
     if delta_max == 1:
-        target = _degree3_target(r)
-        hom = find_homomorphism(f1, target)
-        if hom is None:
-            raise AssertionError("no homomorphism from a 3-edge matching onto the apex target")
-        return target, hom
+        return _into_apex_target(f1)
 
     if delta_max == 3:
         trace = reduce_to_core(f1)
@@ -233,10 +203,7 @@ def reduce_to_max_degree3(f1: Hypergraph) -> tuple[Hypergraph, VertexMap]:
             if max_degree(trace.terminal) != 3:
                 raise AssertionError("fold reduction lost the degree-3 vertex")
             return trace.terminal, trace.map
-        target = _degree3_target(r)
-        hom = find_homomorphism(trace.terminal, target)
-        if hom is None:
-            raise AssertionError("no homomorphism from a <=2-edge remainder onto the apex target")
+        target, hom = _into_apex_target(trace.terminal)
         return target, trace.map.then(hom)
 
     # delta_max == 2: fold a degree-one vertex onto a degree-two vertex that
@@ -246,10 +213,7 @@ def reduce_to_max_degree3(f1: Hypergraph) -> tuple[Hypergraph, VertexMap]:
         raise AssertionError("no degree-(1,2) fold pair exists; unexpected for max degree 2")
     folded, fold_map = fold_vertex(f1, *pair)
     if len(folded.edges) <= 2:
-        target = _degree3_target(r)
-        hom = find_homomorphism(folded, target)
-        if hom is None:
-            raise AssertionError("no homomorphism from a <=2-edge remainder onto the apex target")
+        target, hom = _into_apex_target(folded)
         return target, fold_map.then(hom)
     if min_positive_degree(folded) >= 2:
         if max_degree(folded) != 3:

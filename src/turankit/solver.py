@@ -477,7 +477,7 @@ def export_cnf(system: TripleSystem, at_least: Optional[int] = None) -> str:
     ]
     nvars = m
     if at_least is not None:
-        if at_least > m:
+        if not 0 <= at_least <= m:
             raise ValueError(f"cannot require {at_least} of {m} edges")
         if at_least > 0:
             counter_clauses, nvars = _at_most_k_sequential(

@@ -201,6 +201,22 @@ class TestExport:
         assert code == 0
         assert "at least 3 selected" in out
 
+    def test_negative_threshold_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "export", "--family", "triangle", "--n", "4",
+            "--format", "cnf", "--at-least", "-3",
+        )
+        assert code == 1 and out == ""
+        assert "-3" in err
+
+    def test_threshold_with_ilp_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "export", "--family", "triangle", "--n", "4",
+            "--format", "ilp", "--at-least", "2",
+        )
+        assert code == 1 and out == ""
+        assert "--at-least" in err
+
     def test_ilp_to_file(self, capsys, tmp_path):
         target = tmp_path / "model.lp"
         code, _, _ = run(
@@ -277,7 +293,38 @@ class TestReduceHomStability:
         assert len(payload["distances"]) == hat.n
 
 
+# (family, flags supplied, flags left out) for every parametrised named family
+MISSING_FAMILY_FLAGS = [
+    ("expanded-triangle", [], ["--k"]),
+    ("suspended-expanded-triangle", ["--i", "1"], ["--r"]),
+    ("suspended-expanded-triangle", ["--r", "4"], ["--i"]),
+    ("suspended-expanded-triangle", [], ["--i", "--r"]),
+    ("matching", ["--r", "2"], ["--m"]),
+    ("matching", ["--m", "3"], ["--r"]),
+    ("matching", [], ["--r", "--m"]),
+]
+FAMILY_SUBCOMMANDS = {
+    "solve": ["--n", "5"],
+    "density": ["--n-from", "4", "--n-to", "5"],
+    "export": ["--n", "5", "--format", "cnf"],
+}
+
+
 class TestErrors:
+    @pytest.mark.parametrize("command", sorted(FAMILY_SUBCOMMANDS))
+    @pytest.mark.parametrize("family,supplied,missing", MISSING_FAMILY_FLAGS)
+    def test_missing_family_params(self, capsys, tmp_path, command, family, supplied, missing):
+        code, out, err = run(
+            capsys, "--cache", str(tmp_path / "c.jsonl"),
+            command, "--family", family, *supplied, *FAMILY_SUBCOMMANDS[command],
+        )
+        assert code == 1 and out == ""
+        assert family in err
+        for flag in missing:
+            assert flag in err
+        for flag in supplied[::2]:
+            assert flag not in err
+
     def test_unknown_family(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "--cache", str(tmp_path / "c.jsonl"),

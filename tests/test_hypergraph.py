@@ -1,5 +1,6 @@
 """Core hypergraph type: construction, degrees, links, isomorphism, copies."""
 
+import itertools
 import random
 
 import pytest
@@ -8,10 +9,9 @@ from turankit import (
     Hypergraph,
     RegionProfile,
     VertexMap,
+    canonical_regions,
     complete_rgraph,
     copies_of,
-    degree_profile,
-    drop_vertex,
     edge_mask,
     edge_vertices,
     expanded_triangle,
@@ -24,8 +24,8 @@ from turankit import (
     matching,
     parse_hypergraph,
     suspension,
-    truncate_vertex,
 )
+from turankit.catalog import realize_profile
 
 from helpers import brute_force_copies, permutation_isomorphic
 
@@ -34,8 +34,6 @@ K4_MINUS = make_hypergraph(4, 3, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
 
 
 def random_hypergraph(rng, n, r, density=0.4):
-    import itertools
-
     masks = [edge_mask(c) for c in itertools.combinations(range(n), r) if rng.random() < density]
     return from_masks(n, r, masks)
 
@@ -97,19 +95,14 @@ class TestTextFormat:
 
 class TestDegrees:
     def test_triangle_degrees(self):
-        prof = degree_profile(K3)
-        assert prof.degrees == (2, 2, 2)
-        assert prof.minimum == prof.maximum == 2
+        assert K3.degrees() == [2, 2, 2]
 
     def test_k4_minus_apex(self):
-        prof = degree_profile(K4_MINUS)
-        assert prof.degrees == (3, 2, 2, 2)
-        assert prof.minimum == 2 and prof.maximum == 3
+        assert K4_MINUS.degrees() == [3, 2, 2, 2]
 
     def test_expanded_triangle_all_degree_two(self):
         for k in range(1, 5):
-            prof = degree_profile(expanded_triangle(k))
-            assert prof.minimum == prof.maximum == 2
+            assert set(expanded_triangle(k).degrees()) == {2}
 
     def test_handshake(self):
         rng = random.Random(7)
@@ -117,9 +110,9 @@ class TestDegrees:
             n = rng.randint(2, 9)
             r = rng.randint(1, min(4, n))
             h = random_hypergraph(rng, n, r)
-            prof = degree_profile(h)
-            assert sum(prof.degrees) == h.r * len(h.edges)
-            assert prof.minimum <= prof.average <= prof.maximum
+            degs = h.degrees()
+            assert sum(degs) == h.r * len(h.edges)
+            assert degs == [h.degree(v) for v in range(h.n)]
 
 
 class TestLink:
@@ -146,24 +139,6 @@ class TestLink:
             link(make_hypergraph(2, 1, [[0]]), 0)
 
 
-class TestRemoveVertex:
-    def test_truncate_apex(self):
-        assert is_isomorphic(truncate_vertex(K4_MINUS, 0), K3)
-
-    def test_truncate_suspension_round_trip(self):
-        hat4 = suspension(K3, 4)  # apexes are vertices 3 and 4
-        assert is_isomorphic(truncate_vertex(hat4, 3), K4_MINUS)
-        assert is_isomorphic(truncate_vertex(hat4, 4), K4_MINUS)
-
-    def test_truncate_partial_vertex_rejected(self):
-        with pytest.raises(ValueError, match="missing"):
-            truncate_vertex(K3, 0)
-
-    def test_drop(self):
-        h = drop_vertex(K3, 0)
-        assert h.r == 2 and len(h.edges) == 1
-
-
 class TestRegionProfile:
     def test_sums_give_uniformity(self):
         prof = RegionProfile.of(K4_MINUS)
@@ -176,15 +151,26 @@ class TestRegionProfile:
         assert RegionProfile.of(expanded_triangle(2)).as_tuple() == (0, 0, 0, 2, 2, 2, 0)
 
     def test_relabeling_invariance(self):
+        def raw_regions(x, y, z):
+            t = (x & y & z).bit_count()
+            xy, xz, yz = ((a & b).bit_count() - t for a, b in ((x, y), (x, z), (y, z)))
+            return (x.bit_count() - xy - xz - t, y.bit_count() - xy - yz - t,
+                    z.bit_count() - xz - yz - t, xy, xz, yz, t)
+
         rng = random.Random(3)
-        base = make_hypergraph(6, 3, [[0, 1, 2], [2, 3, 4], [4, 5, 0]])
-        for _ in range(10):
-            perm = list(range(6))
-            rng.shuffle(perm)
-            relabeled = make_hypergraph(
-                6, 3, [[perm[v] for v in edge_vertices(e)] for e in base.edges]
-            )
-            assert RegionProfile.of(relabeled) == RegionProfile.of(base)
+        symmetric = make_hypergraph(6, 3, [[0, 1, 2], [2, 3, 4], [4, 5, 0]])
+        asymmetric = realize_profile((3, 2, 1, 1, 2, 3, 0), 6)
+        for base in (symmetric, asymmetric):
+            expected = min(raw_regions(*p) for p in itertools.permutations(base.edges))
+            assert RegionProfile.of(base).as_tuple() == expected
+            for _ in range(10):
+                perm = list(range(base.n))
+                rng.shuffle(perm)
+                edges = [edge_mask(perm[v] for v in edge_vertices(e)) for e in base.edges]
+                rng.shuffle(edges)
+                assert canonical_regions(*edges) == expected
+                relabeled = from_masks(base.n, base.r, edges)
+                assert RegionProfile.of(relabeled) == RegionProfile.of(base)
 
     def test_needs_three_edges(self):
         with pytest.raises(ValueError):

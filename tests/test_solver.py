@@ -339,6 +339,10 @@ class TestExportCnf:
         with pytest.raises(ValueError):
             export_cnf(forbidden_triples(K3, 4), at_least=7)
 
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            export_cnf(forbidden_triples(K3, 4), at_least=-3)
+
 
 class TestExportIlp:
     def test_layout_and_counts(self):
