@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from fractions import Fraction
-from math import comb
 from typing import Optional
 
 from .catalog import enumerate_three_edge, suspension_width, verify_classification
@@ -29,11 +27,10 @@ from .constructions import (
 )
 from .hypergraph import (
     Hypergraph,
+    VertexMap,
     canonical_regions,
     edge_vertices,
     format_hypergraph,
-    max_degree,
-    min_positive_degree,
     parse_hypergraph,
 )
 from .morphisms import find_homomorphism, reduce_to_core, reduce_to_max_degree3
@@ -45,15 +42,8 @@ from .solver import (
     export_cnf,
     export_ilp,
     forbidden_triples,
-    solve_exact,
-    solve_family,
 )
-from .stability import (
-    best_partition,
-    deviation,
-    heavy_missing_vertices,
-    link_partition_scan,
-)
+from .stability import best_partition, heavy_missing_vertices, link_partition_scan
 
 ENV_BUDGET_NODES = "TURANKIT_BUDGET_NODES"
 ENV_BUDGET_SECS = "TURANKIT_BUDGET_SECS"
@@ -75,12 +65,13 @@ def _read_hypergraph(path: str) -> Hypergraph:
         return parse_hypergraph(fh.read())
 
 
-def _named_family(name: str, args) -> Optional[tuple[Hypergraph, str]]:
-    """Resolve a named forbidden family, honoring parameter flags.
+def _resolve_family(args) -> tuple[Hypergraph, str]:
+    """Resolve --family to a pattern and its display name, honoring parameter flags.
 
     Accepts triangle, k4minus, expanded-triangle (with --k),
-    suspended-expanded-triangle (with --i and --r), and matching (with --r
-    and --m)."""
+    suspended-expanded-triangle (with --i and --r), matching (with --r and
+    --m), or a path to a hypergraph file."""
+    name = args.family
     if name == "triangle":
         return expanded_triangle(1), "triangle"
     if name == "k4minus":
@@ -95,18 +86,10 @@ def _named_family(name: str, args) -> Optional[tuple[Hypergraph, str]]:
     if name == "matching":
         _require(args, name, "r", "m")
         return matching(args.r, args.m), f"matching(r={args.r},m={args.m})"
-    return None
-
-
-def _resolve_family(args) -> tuple[Hypergraph, str]:
-    selector = args.family
-    named = _named_family(selector, args)
-    if named is not None:
-        return named
-    if os.path.exists(selector):
-        return _read_hypergraph(selector), os.path.basename(selector)
+    if os.path.exists(name):
+        return _read_hypergraph(name), os.path.basename(name)
     raise UsageError(
-        f"unknown family {selector!r}: not a named family and not a readable file"
+        f"unknown family {name!r}: not a named family and not a readable file"
     )
 
 
@@ -118,14 +101,24 @@ def _write_output(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _csv_rows(rows: list[dict]) -> str:
-    if not rows:
-        return ""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+def _emit(fmt: str, payload, lines: list[str], rows: Optional[list[dict]] = None) -> None:
+    """Print one subcommand result: the payload as JSON, the rows as CSV
+    (nothing when there are none), or else the table lines. Subcommands
+    without rows print their table lines under csv too."""
+    if fmt == "json":
+        print(json.dumps(payload))
+    elif fmt == "csv" and rows is not None:
+        if rows:
+            writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
+
+
+def _map_text(vmap: VertexMap) -> str:
+    return " ".join(f"{v}->{w}" for v, w in enumerate(vmap.images))
 
 
 def _reference_lines(profile: tuple[int, ...], r: int) -> list[str]:
@@ -162,9 +155,8 @@ def _require(args, family: str, *names: str) -> None:
 
 def cmd_construct(args) -> int:
     family = args.family
-    if family == "expanded-triangle":
-        _require(args, family, "k")
-        h = expanded_triangle(args.k)
+    if family in ("expanded-triangle", "matching"):
+        h = _resolve_family(args)[0]
     elif family == "suspension":
         if not args.input:
             raise UsageError("suspension needs --input with the base hypergraph")
@@ -184,9 +176,6 @@ def cmd_construct(args) -> int:
             else:
                 raise UsageError("odd-bipartite needs --best, --part1, or --part1-size")
             h = odd_bipartite(part, uniformity)
-    elif family == "matching":
-        _require(args, family, "r", "m")
-        h = matching(args.r, args.m)
     elif family == "complete":
         _require(args, family, "n", "r")
         h = complete_rgraph(args.n, args.r)
@@ -214,16 +203,17 @@ def cmd_classify(args) -> int:
                 "i": entry.suspension_index if entry.suspension_index is not None else "",
             }
         )
-    if args.format == "json":
-        print(json.dumps({"r": args.r, "classes": rows, "min_degree_two_count": report.class_count}))
-    elif args.format == "csv":
-        sys.stdout.write(_csv_rows(rows))
-    else:
-        print(f"three-edge classes for r={args.r}: {len(rows)} total, "
-              f"{report.class_count} with min degree >= 2")
-        print(f"{'profile':24} {'min':>3} {'max':>3}  class")
-        for row in rows:
-            print(f"{row['profile']:24} {row['min_degree']:>3} {row['max_degree']:>3}  {row['class']}")
+    lines = [
+        f"three-edge classes for r={args.r}: {len(rows)} total, "
+        f"{report.class_count} with min degree >= 2",
+        f"{'profile':24} {'min':>3} {'max':>3}  class",
+    ]
+    lines += [
+        f"{row['profile']:24} {row['min_degree']:>3} {row['max_degree']:>3}  {row['class']}"
+        for row in rows
+    ]
+    payload = {"r": args.r, "classes": rows, "min_degree_two_count": report.class_count}
+    _emit(args.format, payload, lines, rows)
     return 0
 
 
@@ -237,32 +227,30 @@ def cmd_reduce(args) -> int:
             "map": list(vmap.images),
             "verified": vmap.is_homomorphism(f1, target),
         }
-        if args.format == "json":
-            print(json.dumps(payload))
-        else:
-            print("target edges: " + " / ".join(" ".join(map(str, e)) for e in payload["target_edges"]))
-            print("map: " + " ".join(f"{v}->{w}" for v, w in enumerate(vmap.images)))
-            print(f"verified homomorphism: {payload['verified']}")
-        return 0
-    trace = reduce_to_core(f1)
-    steps = [
-        {"x": s.x, "y": s.y, "edges": s.result.edge_vertex_lists()} for s in trace.steps
-    ]
-    payload = {
-        "mode": "core",
-        "status": trace.status,
-        "steps": steps,
-        "terminal_edges": trace.terminal.edge_vertex_lists(),
-        "map": list(trace.map.images),
-    }
-    if args.format == "json":
-        print(json.dumps(payload))
+        lines = [
+            "target edges: " + " / ".join(" ".join(map(str, e)) for e in payload["target_edges"]),
+            "map: " + _map_text(vmap),
+            f"verified homomorphism: {payload['verified']}",
+        ]
     else:
-        for idx, step in enumerate(steps):
-            print(f"step {idx + 1}: fold {step['x']} -> {step['y']}; edges "
-                  + " / ".join(" ".join(map(str, e)) for e in step["edges"]))
-        print(f"status: {trace.status}")
-        print("map: " + " ".join(f"{v}->{w}" for v, w in enumerate(trace.map.images)))
+        trace = reduce_to_core(f1)
+        steps = [
+            {"x": s.x, "y": s.y, "edges": s.result.edge_vertex_lists()} for s in trace.steps
+        ]
+        payload = {
+            "mode": "core",
+            "status": trace.status,
+            "steps": steps,
+            "terminal_edges": trace.terminal.edge_vertex_lists(),
+            "map": list(trace.map.images),
+        }
+        lines = [
+            f"step {idx + 1}: fold {step['x']} -> {step['y']}; edges "
+            + " / ".join(" ".join(map(str, e)) for e in step["edges"])
+            for idx, step in enumerate(steps)
+        ]
+        lines += [f"status: {trace.status}", "map: " + _map_text(trace.map)]
+    _emit(args.format, payload, lines)
     return 0
 
 
@@ -270,92 +258,62 @@ def cmd_hom(args) -> int:
     source = _read_hypergraph(args.source)
     target = _read_hypergraph(args.target)
     vmap = find_homomorphism(source, target)
-    if args.format == "json":
-        print(json.dumps({"map": list(vmap.images) if vmap else None}))
-    elif vmap is None:
-        print("none")
-    else:
-        print(" ".join(f"{v}->{w}" for v, w in enumerate(vmap.images)))
+    payload = {"map": list(vmap.images) if vmap else None}
+    _emit(args.format, payload, [_map_text(vmap) if vmap else "none"])
     return 0
 
 
-def _budgets(args) -> tuple[Optional[int], Optional[float]]:
+def _solve_range(args, n_values: list[int]) -> tuple[str, list[SolveRecord]]:
+    """Solve the --family pattern at each n: budgets from the flags, else the
+    environment; with --seed-construction, the odd-bipartite seed when the
+    pattern is an expanded triangle; the --cache file when set. Returns the
+    family's display name and the audited records."""
+    f, name = _resolve_family(args)
     nodes = args.budget_nodes
     secs = args.budget_secs
     if nodes is None and os.environ.get(ENV_BUDGET_NODES):
         nodes = int(os.environ[ENV_BUDGET_NODES])
     if secs is None and os.environ.get(ENV_BUDGET_SECS):
         secs = float(os.environ[ENV_BUDGET_SECS])
-    return nodes, secs
-
-
-def _construction_seed(f: Hypergraph, n: int) -> Optional[Hypergraph]:
-    """Odd-bipartite seed when the forbidden family is an expanded triangle."""
-    profile = canonical_regions(*f.edges)
-    k = f.r // 2
-    if f.r % 2 == 0 and profile == (0, 0, 0, k, k, k, 0) and n >= f.r:
-        return max_odd_bipartite(n, f.r)[1]
-    return None
-
-
-def _print_record(record: SolveRecord, fmt: str, quiet: bool, references: bool) -> None:
-    if fmt == "json":
-        print(json.dumps(record.to_json_dict()))
-        return
-    density = record.density()
-    print(
-        f"family={record.family_name or 'unnamed'} n={record.n} r={record.r} "
-        f"optimum={record.optimum} status={record.status}"
-    )
-    if not quiet:
-        print(
-            f"density={density.numerator}/{density.denominator} = {float(density):.6g} "
-            f"nodes={record.nodes} millis={record.millis}"
-        )
-        print("witness: " + " / ".join(" ".join(map(str, edge_vertices(e))) for e in record.witness))
-        if references:
-            for line in _reference_lines(record.family_profile, record.r):
-                print(line)
-
-
-def cmd_solve(args) -> int:
-    f, name = _resolve_family(args)
-    nodes, secs = _budgets(args)
-    seed = _construction_seed(f, args.n) if args.seed_construction else None
-    cache = ResultCache(args.cache) if args.cache else None
-    record = solve_family(
-        f,
-        args.n,
-        family_name=name,
-        cache=cache,
-        budget_nodes=nodes,
-        budget_secs=secs,
-        seed_witness=seed,
-    )
-    _print_record(record, args.format, args.quiet, references=True)
-    return 2 if record.status == STATUS_LOWER_BOUND else 0
-
-
-def cmd_density(args) -> int:
-    f, name = _resolve_family(args)
-    nodes, secs = _budgets(args)
-    cache = ResultCache(args.cache) if args.cache else None
-    n_values = list(range(args.n_from, args.n_to + 1))
     seeds = {}
-    if args.seed_construction:
-        for n in n_values:
-            seed = _construction_seed(f, n)
-            if seed is not None:
-                seeds[n] = seed
+    k = f.r // 2
+    if (args.seed_construction and f.r % 2 == 0
+            and canonical_regions(*f.edges) == (0, 0, 0, k, k, k, 0)):
+        seeds = {n: max_odd_bipartite(n, f.r)[1] for n in n_values if n >= f.r}
     records = density_sequence(
         f,
         n_values,
         family_name=name,
-        cache=cache,
+        cache=ResultCache(args.cache) if args.cache else None,
         budget_nodes=nodes,
         budget_secs=secs,
         seed_for=seeds,
     )
+    return name, records
+
+
+def cmd_solve(args) -> int:
+    _, (record,) = _solve_range(args, [args.n])
+    lines = [
+        f"family={record.family_name or 'unnamed'} n={record.n} r={record.r} "
+        f"optimum={record.optimum} status={record.status}"
+    ]
+    if not args.quiet:
+        density = record.density()
+        lines.append(
+            f"density={density.numerator}/{density.denominator} = {float(density):.6g} "
+            f"nodes={record.nodes} millis={record.millis}"
+        )
+        lines.append("witness: " + " / ".join(" ".join(map(str, edge_vertices(e))) for e in record.witness))
+        lines += _reference_lines(record.family_profile, record.r)
+    _emit(args.format, record.to_json_dict(), lines)
+    return 2 if record.status == STATUS_LOWER_BOUND else 0
+
+
+def cmd_density(args) -> int:
+    if args.n_from > args.n_to:
+        raise UsageError(f"--n-from {args.n_from} exceeds --n-to {args.n_to}")
+    name, records = _solve_range(args, list(range(args.n_from, args.n_to + 1)))
     rows = [
         {
             "n": rec.n,
@@ -366,19 +324,19 @@ def cmd_density(args) -> int:
         }
         for rec in records
     ]
-    if args.format == "json":
-        print(json.dumps({"family": name, "records": [r.to_json_dict() for r in records]}))
-    elif args.format == "csv":
-        sys.stdout.write(_csv_rows(rows))
-    else:
-        print(f"density sequence for {name}")
-        print(f"{'n':>4} {'optimum':>8} {'density':>12} {'float':>10}  status")
-        for row in rows:
-            print(f"{row['n']:>4} {row['optimum']:>8} {row['density']:>12} "
-                  f"{row['density_float']:>10.6g}  {row['status']}")
-        if not args.quiet:
-            for line in _reference_lines(canonical_regions(*f.edges), f.r):
-                print(line)
+    lines = [
+        f"density sequence for {name}",
+        f"{'n':>4} {'optimum':>8} {'density':>12} {'float':>10}  status",
+    ]
+    lines += [
+        f"{row['n']:>4} {row['optimum']:>8} {row['density']:>12} "
+        f"{row['density_float']:>10.6g}  {row['status']}"
+        for row in rows
+    ]
+    if not args.quiet:
+        lines += _reference_lines(records[0].family_profile, records[0].r)
+    payload = {"family": name, "records": [r.to_json_dict() for r in records]}
+    _emit(args.format, payload, lines, rows)
     if any(rec.status == STATUS_LOWER_BOUND for rec in records):
         return 2
     return 0
@@ -411,48 +369,36 @@ def cmd_stability(args) -> int:
             }
             for row in scan.rows
         ]
-        if args.format == "json":
-            print(json.dumps({
-                "rows": rows,
-                "distances": [list(r) for r in scan.distances],
-                "max_distance": scan.max_distance,
-                "mean_distance": scan.mean_distance,
-            }))
-        elif args.format == "csv":
-            sys.stdout.write(_csv_rows(rows))
-        else:
-            print(f"{'vertex':>6} {'part1':20} {'bad':>5} {'missing':>8} {'total':>6}")
-            for row in rows:
-                print(f"{row['vertex']:>6} {row['part1']:20} {row['bad']:>5} "
-                      f"{row['missing']:>8} {row['total']:>6}")
-            print(f"max pairwise distance: {scan.max_distance}")
-            print(f"mean pairwise distance: {scan.mean_distance:.4f}")
-        return 0
-    part, report = best_partition(h, balanced_only=args.balanced)
-    payload = {
-        "part1": part.part1_vertices(),
-        "sizes": list(part.sizes),
-        "bad": report.bad,
-        "missing": report.missing,
-        "total": report.total,
-    }
-    if args.threshold is not None:
-        payload["heavy_vertices"] = heavy_missing_vertices(h, part, args.threshold)
-        payload["threshold"] = args.threshold
-    if args.format == "json":
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        sys.stdout.write(_csv_rows([{
-            "part1": ",".join(map(str, payload["part1"])),
-            "bad": report.bad,
-            "missing": report.missing,
-            "total": report.total,
-        }]))
+        payload = {
+            "rows": rows,
+            "distances": [list(r) for r in scan.distances],
+            "max_distance": scan.max_distance,
+            "mean_distance": scan.mean_distance,
+        }
+        lines = [f"{'vertex':>6} {'part1':20} {'bad':>5} {'missing':>8} {'total':>6}"]
+        lines += [
+            f"{row['vertex']:>6} {row['part1']:20} {row['bad']:>5} "
+            f"{row['missing']:>8} {row['total']:>6}"
+            for row in rows
+        ]
+        lines += [
+            f"max pairwise distance: {scan.max_distance}",
+            f"mean pairwise distance: {scan.mean_distance:.4f}",
+        ]
     else:
-        print(f"best partition part1={payload['part1']} sizes={tuple(part.sizes)}")
-        print(f"bad={report.bad} missing={report.missing} total={report.total}")
+        part, report = best_partition(h, balanced_only=args.balanced)
+        counts = {"bad": report.bad, "missing": report.missing, "total": report.total}
+        payload = {"part1": part.part1_vertices(), "sizes": list(part.sizes), **counts}
+        rows = [{"part1": ",".join(map(str, payload["part1"])), **counts}]
+        lines = [
+            f"best partition part1={payload['part1']} sizes={tuple(part.sizes)}",
+            f"bad={report.bad} missing={report.missing} total={report.total}",
+        ]
         if args.threshold is not None:
-            print(f"heavy vertices (threshold {args.threshold}): {payload['heavy_vertices']}")
+            payload["heavy_vertices"] = heavy_missing_vertices(h, part, args.threshold)
+            payload["threshold"] = args.threshold
+            lines.append(f"heavy vertices (threshold {args.threshold}): {payload['heavy_vertices']}")
+    _emit(args.format, payload, lines, rows)
     return 0
 
 
@@ -544,10 +490,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

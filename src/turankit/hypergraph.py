@@ -89,13 +89,6 @@ class Hypergraph:
     def edge_vertex_lists(self) -> list[list[int]]:
         return [edge_vertices(e) for e in self.edges]
 
-    def core(self) -> "Hypergraph":
-        """Copy with isolated vertices removed and the rest relabeled 0..s-1."""
-        support = edge_vertices(self.support_mask)
-        relabel = {old: new for new, old in enumerate(support)}
-        edges = sorted(edge_mask(relabel[v] for v in edge_vertices(e)) for e in self.edges)
-        return Hypergraph(len(support), self.r, tuple(edges))
-
 
 def from_masks(n: int, r: int, masks: Iterable[int]) -> Hypergraph:
     """Build a hypergraph from edge bit vectors, deduplicating and sorting."""
@@ -256,10 +249,6 @@ class RegionProfile:
 
     def as_tuple(self) -> tuple[int, ...]:
         return (self.a1, self.a2, self.a3, self.a12, self.a13, self.a23, self.a123)
-
-    @property
-    def uniformity(self) -> int:
-        return self.a1 + self.a12 + self.a13 + self.a123
 
 
 def _regions(e1: int, e2: int, e3: int) -> tuple[int, ...]:

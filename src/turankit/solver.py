@@ -10,7 +10,6 @@ append-only JSONL result cache keyed by the pattern's region profile.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import time
@@ -19,6 +18,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
 
+from .constructions import complete_rgraph
 from .hypergraph import (
     Hypergraph,
     canonical_regions,
@@ -130,15 +130,12 @@ def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSys
     if n < 0 or n > 64:
         raise ValueError(f"vertex count {n} outside 0..64")
     r = f.r
-    if n < r:
-        ground: tuple[int, ...] = ()
-    else:
-        ground = tuple(sorted(edge_mask(c) for c in itertools.combinations(range(n), r)))
+    complete = complete_rgraph(n, r) if n >= r else Hypergraph(n, r, ())
+    ground = complete.edges
     profile = canonical_regions(*f.edges)
     trivial = n < f.support_size
     if trivial or not ground:
         return TripleSystem(n, r, ground, (), profile, family_name, trivial)
-    complete = Hypergraph(n, r, ground)
     index = {mask: i for i, mask in enumerate(ground)}
     conflicts = tuple(
         sorted(
@@ -147,6 +144,14 @@ def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSys
         )
     )
     return TripleSystem(n, r, ground, conflicts, profile, family_name, trivial)
+
+
+def _violates(conflicts: Sequence[tuple[int, int, int]], mask: int) -> bool:
+    """True when the ground-index bitmask selects every edge of some conflict."""
+    for a, b, c in conflicts:
+        if mask >> a & 1 and mask >> b & 1 and mask >> c & 1:
+            return True
+    return False
 
 
 def _normalize_witness(system: TripleSystem, witness) -> int:
@@ -160,9 +165,8 @@ def _normalize_witness(system: TripleSystem, witness) -> int:
         if mask not in index:
             raise ValueError(f"seed edge {edge_vertices(mask)} is not a ground edge")
         selected |= 1 << index[mask]
-    for a, b, c in system.conflicts:
-        if selected >> a & 1 and selected >> b & 1 and selected >> c & 1:
-            raise ValueError("seed witness contains a forbidden triple")
+    if _violates(system.conflicts, selected):
+        raise ValueError("seed witness contains a forbidden triple")
     return selected
 
 
@@ -316,9 +320,8 @@ def solve_exact(
     witness = tuple(
         system.ground[i] for i in range(m) if best_mask >> i & 1
     )
-    for a, b, c in conflicts:
-        if best_mask >> a & 1 and best_mask >> b & 1 and best_mask >> c & 1:
-            raise AssertionError("witness contains a forbidden triple")
+    if _violates(conflicts, best_mask):
+        raise AssertionError("witness contains a forbidden triple")
     millis = int((time.monotonic() - t0) * 1000)
     return SolveRecord(
         family_profile=system.family_profile,
@@ -428,8 +431,8 @@ def density_sequence(
 
     The density ex(n)/C(n, r) of consecutive proved-optimal entries must be
     non-increasing; a violation raises, since it can only come from a solver
-    bug. Entries that exhausted their budget are kept but excluded from the
-    audit.
+    bug. Entries that exhausted their budget, and entries with n < r, are
+    kept but excluded from the audit.
     """
     records = []
     for n in sorted(n_values):
@@ -450,8 +453,11 @@ def density_sequence(
 
 
 def audit_density_monotone(records: Sequence[SolveRecord]) -> None:
-    """Exact-arithmetic check that proved-optimal densities never increase."""
-    proved = sorted((r for r in records if r.proved_optimal), key=lambda r: r.n)
+    """Exact-arithmetic check that proved-optimal densities never increase,
+    over the records with n >= r (below r the density is a placeholder 0)."""
+    proved = sorted(
+        (rec for rec in records if rec.proved_optimal and rec.n >= rec.r), key=lambda rec: rec.n
+    )
     for prev, cur in zip(proved, proved[1:]):
         if cur.density() > prev.density():
             raise RuntimeError(

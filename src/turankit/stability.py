@@ -9,12 +9,11 @@ recovers the per-vertex apparatus of the stability analysis at finite n.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
-from .constructions import Partition, odd_bipartite_count
-from .hypergraph import Hypergraph, edge_mask, edge_vertices, link
+from .constructions import Partition, odd_bipartite, odd_bipartite_count
+from .hypergraph import Hypergraph, link
 
 BEST_PARTITION_MAX_N = 24
 
@@ -51,25 +50,18 @@ def _check_even_uniformity(h: Hypergraph) -> None:
 def deviation(h: Hypergraph, partition: Partition) -> DeviationReport:
     """Exact bad/missing decomposition of h against the partition.
 
-    Walks all C(n, r) vertex sets once, classifying each by intersection
-    parity with part1 and membership in h.
+    The symmetric difference of h and odd_bipartite(partition, h.r), with
+    both edge tuples ascending by bit vector like Hypergraph.edges. With
+    fewer vertices than r there are no r-sets and the report is empty.
     """
     _check_even_uniformity(h)
     if partition.n != h.n:
         raise ValueError(f"partition is over {partition.n} vertices, hypergraph over {h.n}")
-    present = h.edge_set()
-    p1 = partition.part1
-    bad = []
-    missing = []
-    for combo in itertools.combinations(range(h.n), h.r):
-        e = edge_mask(combo)
-        odd = (e & p1).bit_count() % 2
-        if e in present:
-            if not odd:
-                bad.append(e)
-        elif odd:
-            missing.append(e)
-    return DeviationReport(partition, tuple(bad), tuple(missing))
+    complete = odd_bipartite(partition, h.r).edges if h.n >= h.r else ()
+    present, odd = h.edge_set(), frozenset(complete)
+    bad = tuple(e for e in h.edges if e not in odd)
+    missing = tuple(e for e in complete if e not in present)
+    return DeviationReport(partition, bad, missing)
 
 
 def _deviation_total(h: Hypergraph, part1: int, n: int) -> int:
@@ -136,11 +128,7 @@ def heavy_missing_vertices(h: Hypergraph, partition: Partition, threshold: int) 
     if threshold == 0:
         warnings.warn("threshold 0 selects every vertex", stacklevel=2)
         return list(range(h.n))
-    report = deviation(h, partition)
-    degs = [0] * h.n
-    for e in report.missing_edges:
-        for v in edge_vertices(e):
-            degs[v] += 1
+    degs = Hypergraph(h.n, h.r, deviation(h, partition).missing_edges).degrees()
     return [v for v in range(h.n) if degs[v] >= threshold]
 
 

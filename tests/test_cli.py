@@ -9,6 +9,7 @@ from turankit import (
     export_cnf,
     forbidden_triples,
     format_hypergraph,
+    link,
     make_hypergraph,
     parse_hypergraph,
     solve_exact,
@@ -143,6 +144,24 @@ class TestSolveAndDensity:
         lines = out.strip().splitlines()
         assert lines[0] == "n,optimum,density,density_float,status"
         assert len(lines) == 4
+
+    def test_density_range_starting_below_uniformity(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "--format", "csv", "--cache", str(tmp_path / "c.jsonl"),
+            "density", "--family", "triangle", "--n-from", "1", "--n-to", "4",
+        )
+        assert code == 0 and err == ""
+        assert [line.split(",")[:3] for line in out.splitlines()[1:]] == [
+            ["1", "0", "0/1"], ["2", "1", "1/1"], ["3", "2", "2/3"], ["4", "4", "2/3"],
+        ]
+
+    def test_density_reversed_range_rejected(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "--cache", str(tmp_path / "c.jsonl"),
+            "density", "--family", "triangle", "--n-from", "6", "--n-to", "3",
+        )
+        assert code == 1 and out == ""
+        assert "--n-from" in err and "--n-to" in err
 
     def test_cache_reused_across_runs(self, capsys, tmp_path):
         cache = tmp_path / "c.jsonl"
@@ -291,6 +310,49 @@ class TestReduceHomStability:
         payload = json.loads(out)
         assert len(payload["rows"]) == hat.n
         assert len(payload["distances"]) == hat.n
+
+
+SOLVE_KEYS = {"family_profile", "family_name", "n", "r", "optimum", "status",
+              "witness", "nodes", "millis", "version"}
+# subcommands without CSV rows: argv (with {src}/{tgt} placeholders), JSON keys
+TABLE_ONLY = [
+    (["reduce", "--input", "{src}"], {"mode", "status", "steps", "terminal_edges", "map"}),
+    (["reduce", "--input", "{src}", "--to-degree3"], {"mode", "target_edges", "map", "verified"}),
+    (["hom", "--source", "{src}", "--target", "{tgt}"], {"map"}),
+    (["solve", "--family", "triangle", "--n", "5"], SOLVE_KEYS),
+]
+
+
+class TestRenderer:
+    @pytest.mark.parametrize("argv,keys", TABLE_ONLY)
+    def test_csv_prints_table_and_json_parses(self, capsys, tmp_path, argv, keys):
+        src = tmp_path / "src.hg"
+        src.write_text("n=9 r=3\n0 1 2\n3 4 5\n6 7 8\n")
+        tgt = tmp_path / "tgt.hg"
+        tgt.write_text(format_hypergraph(suspension(expanded_triangle(1), 3)))
+        argv = [a.format(src=src, tgt=tgt) for a in argv]
+        # one cache: the solve record (and its millis) is reused by the later runs
+        cache = ["--cache", str(tmp_path / "c.jsonl")]
+        code, table, _ = run(capsys, "--format", "table", *cache, *argv)
+        assert code == 0 and table
+        code, out, _ = run(capsys, "--format", "csv", *cache, *argv)
+        assert code == 0 and out == table
+        code, out, _ = run(capsys, "--format", "json", *cache, *argv)
+        assert code == 0 and set(json.loads(out)) == keys
+
+    @pytest.mark.parametrize("extra,header", [
+        ([], "part1,bad,missing,total"),
+        (["--scan-links"], "vertex,part1,bad,missing,total"),
+    ])
+    def test_stability_csv_header(self, capsys, tmp_path, extra, header):
+        from turankit import Partition, odd_bipartite
+
+        hat = suspension(odd_bipartite(Partition.from_part1(5, [0]), 2), 3)
+        source = tmp_path / "s.hg"
+        source.write_text(format_hypergraph(hat if extra else link(hat, 5)))
+        code, out, _ = run(capsys, "--format", "csv", "stability", "--input", str(source), *extra)
+        assert code == 0
+        assert out.splitlines()[0] == header
 
 
 # (family, flags supplied, flags left out) for every parametrised named family

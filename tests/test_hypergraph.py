@@ -200,8 +200,8 @@ class TestIsomorphism:
             make_hypergraph(6, 3, [[0, 1, 2], [2, 3, 4], [4, 5, 0]]),
             make_hypergraph(6, 3, [[0, 1, 2], [0, 1, 3], [0, 1, 4]]),
             make_hypergraph(6, 3, [[0, 1, 2], [3, 4, 5], [0, 3, 4]]),
-            expanded_triangle(2).core(),
-            suspension(expanded_triangle(1), 4).core(),
+            expanded_triangle(2),
+            suspension(expanded_triangle(1), 4),
         ]
         for _ in range(30):
             f1, f2 = rng.choice(pool), rng.choice(pool)

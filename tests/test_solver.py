@@ -233,6 +233,12 @@ class TestDensitySequence:
     def test_singleton_range_trivially_monotone(self):
         audit_density_monotone(density_sequence(K3, [5]))
 
+    def test_range_starting_below_uniformity(self):
+        # n < r has no r-sets and a placeholder density 0; the audit skips it
+        records = density_sequence(K3, [1, 2, 3, 4])
+        assert [r.density() for r in records] == [0, 1, Fraction(2, 3), Fraction(2, 3)]
+        assert all(r.proved_optimal for r in records)
+
 
 class TestSuspensionInequality:
     def test_finite_chain(self):

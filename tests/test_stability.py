@@ -6,6 +6,7 @@ import random
 import pytest
 
 from turankit import (
+    Hypergraph,
     link,
     Partition,
     best_partition,
@@ -73,6 +74,23 @@ class TestDeviation:
             assert report.total == len(sym_diff)
             assert set(report.bad_edges) == set(h.edges) - set(reference.edges)
             assert set(report.missing_edges) == set(reference.edges) - set(h.edges)
+
+    def test_edge_tuples_ascending(self):
+        rng = random.Random(5)
+        for _ in range(15):
+            n = rng.randint(4, 8)
+            r = rng.choice([2, 4])
+            h = from_masks(
+                n, r,
+                [sum(1 << v for v in rng.sample(range(n), r)) for _ in range(rng.randint(0, 12))],
+            )
+            report = deviation(h, Partition(n, rng.randrange(1 << n)))
+            assert list(report.bad_edges) == sorted(set(report.bad_edges))
+            assert list(report.missing_edges) == sorted(set(report.missing_edges))
+
+    def test_fewer_vertices_than_uniformity(self):
+        report = deviation(Hypergraph(3, 4, ()), Partition.from_part1(3, [0]))
+        assert report.bad_edges == report.missing_edges == ()
 
     def test_odd_uniformity_rejected(self):
         with pytest.raises(ValueError):
