@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from typing import Optional
 
@@ -395,7 +396,12 @@ def cmd_stability(args) -> int:
             f"bad={report.bad} missing={report.missing} total={report.total}",
         ]
         if args.threshold is not None:
-            payload["heavy_vertices"] = heavy_missing_vertices(h, part, args.threshold)
+            # Library warnings become one plain stderr line, on every call.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                payload["heavy_vertices"] = heavy_missing_vertices(h, part, args.threshold)
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
             payload["threshold"] = args.threshold
             lines.append(f"heavy vertices (threshold {args.threshold}): {payload['heavy_vertices']}")
     _emit(args.format, payload, lines, rows)

@@ -6,6 +6,12 @@ triple marks three of them forming a copy of the forbidden pattern. Solving
 is branch and bound over include/exclude decisions per ground edge, with a
 greedy disjoint-conflict packing bound, root-level symmetry breaking, and an
 append-only JSONL result cache keyed by the pattern's region profile.
+
+The search state is a handful of Python ints used as bitsets: included and
+excluded edges over the ground set, and the active and hit conflicts over
+the conflict list. Each node's branch counts and packing are big-int
+operations on per-edge conflict-membership masks, not a loop over every
+active conflict.
 """
 
 from __future__ import annotations
@@ -170,6 +176,14 @@ def _normalize_witness(system: TripleSystem, witness) -> int:
     return selected
 
 
+def _check_budgets(budget_nodes: int | None, budget_secs: float | None) -> None:
+    if budget_nodes is not None and budget_nodes < 1:
+        raise ValueError(f"node budget must be at least 1, got {budget_nodes}")
+    # `not >=` also catches NaN, which would disable the deadline.
+    if budget_secs is not None and not budget_secs >= 0:
+        raise ValueError(f"time budget must be a non-negative number of seconds, got {budget_secs}")
+
+
 def solve_exact(
     system: TripleSystem,
     *,
@@ -180,16 +194,32 @@ def solve_exact(
     """Branch and bound for the maximum conflict-free subset of the ground set.
 
     The incumbent starts from the optional seed witness. Branching picks the
-    undecided edge lying in the most active conflicts; the bound subtracts a
-    greedy packing of active conflicts with disjoint undecided parts from the
-    count of undecided edges. Completing within budget proves optimality;
-    otherwise the record is marked lower-bound-only. The returned witness is
-    re-verified to be conflict-free either way.
+    undecided edge lying in the most active conflicts (the lowest index among
+    ties); the bound subtracts a greedy packing of active conflicts with
+    disjoint undecided parts from the count of undecided edges. Completing
+    within budget proves optimality; otherwise the record is marked
+    lower-bound-only. The returned witness is re-verified to be conflict-free
+    either way. budget_nodes must be at least 1 and budget_secs a
+    non-negative number (0.0 stops at the first deadline poll); anything
+    else raises ValueError.
+
+    A conflict is active while none of its edges is excluded. Including an
+    edge excludes the third edge of every conflict it completes to two, so an
+    active conflict holds at most one included edge. The search carries hit,
+    the conflicts containing an included edge: the active conflicts in hit
+    have exactly two undecided edges, the others three. The packing takes
+    the former, then the latter, each in conflict-index order, keeping a
+    conflict when no earlier pick shares an undecided edge with it; each
+    pick removes every conflict through its undecided edges' membership
+    masks. This is the same first-fit greedy as scanning every active
+    conflict, at O(picks) big-int operations instead of O(active); an edge's
+    branch count is one AND and bit_count of its mask with the active set.
 
     The root fixes the first ground edge to included, which is valid for the
     documented TripleSystem shape: a complete ground set, whose relabeling
     symmetry moves any edge of an optimal solution onto the first one.
     """
+    _check_budgets(budget_nodes, budget_secs)
     t0 = time.monotonic()
     node_budget = DEFAULT_BUDGET_NODES if budget_nodes is None else budget_nodes
     secs_budget = DEFAULT_BUDGET_SECS if budget_secs is None else budget_secs
@@ -209,21 +239,23 @@ def solve_exact(
     elif not conflicts:
         best_val, best_mask = m, full
     else:
+        # Conflict ci is bit last - ci of the conflict bitsets, so the
+        # lowest-index conflict of a set is its top bit, read in O(1).
+        last = len(conflicts) - 1
         pairs: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         membership = [0] * m
-        conflict_edge_masks = []
         for ci, (a, b, c) in enumerate(conflicts):
             pairs[a].append((b, c))
             pairs[b].append((a, c))
             pairs[c].append((a, b))
-            bit = 1 << ci
+            bit = 1 << (last - ci)
             membership[a] |= bit
             membership[b] |= bit
             membership[c] |= bit
-            conflict_edge_masks.append((1 << a) | (1 << b) | (1 << c))
-        all_active = (1 << len(conflicts)) - 1
+        all_conflicts = (1 << len(conflicts)) - 1
+        keep = [all_conflicts & ~mem for mem in membership]
 
-        def include(inc: int, exc: int, dead: int, e: int):
+        def include(inc: int, exc: int, active: int, hit: int, e: int):
             # Include edge e and propagate: a conflict with two included
             # edges forces exclusion of its third. Exclusions cascade no
             # further, so one pass over e's conflict partners suffices.
@@ -238,20 +270,19 @@ def solve_exact(
                     return None
                 if j_in:
                     exc |= kb
-                    dead |= membership[k]
+                    active &= keep[k]
                 elif k_in:
                     exc |= jb
-                    dead |= membership[j]
-            return inc, exc, dead
+                    active &= keep[j]
+            return inc, exc, active, hit | membership[e]
 
-        def dfs(inc: int, exc: int, dead: int):
+        def dfs(inc: int, exc: int, active: int, hit: int):
             nonlocal best_val, best_mask, nodes
             nodes += 1
             if nodes >= node_budget:
                 raise _BudgetExhausted
             if not nodes & 255 and time.monotonic() > deadline:
                 raise _BudgetExhausted
-            active = all_active & ~dead
             exc_count = exc.bit_count()
             if not active:
                 # No conflict can still be violated: take every undecided edge.
@@ -264,39 +295,41 @@ def solve_exact(
             undecided = m - inc_count - exc_count
             if inc_count + undecided <= best_val:
                 return
-            counts = [0] * m
-            parts2 = []
-            parts3 = []
-            a = active
-            while a:
-                low = a & -a
-                ci = low.bit_length() - 1
-                a ^= low
-                u = conflict_edge_masks[ci] & ~inc
-                if u.bit_count() == 2:
-                    parts2.append(u)
-                else:
-                    parts3.append(u)
-                while u:
-                    ub = u & -u
-                    counts[ub.bit_length() - 1] += 1
-                    u ^= ub
-            used = 0
+            # Greedy packing, first fit in conflict order: the active
+            # conflicts in hit (one edge included, two undecided) first,
+            # then the rest (three undecided). Packing a conflict drops
+            # every conflict sharing one of its undecided edges.
             packed = 0
-            for u in parts2:
-                if not u & used:
-                    packed += 1
-                    used |= u
-            for u in parts3:
-                if not u & used:
-                    packed += 1
-                    used |= u
+            rem = active
+            two = rem & hit
+            while two:
+                packed += 1
+                for x in conflicts[last + 1 - two.bit_length()]:
+                    if not inc >> x & 1:
+                        rem &= keep[x]
+                two = rem & hit
+            while rem:
+                packed += 1
+                a, b, c = conflicts[last + 1 - rem.bit_length()]
+                rem &= keep[a] & keep[b] & keep[c]
             bound = inc_count + undecided - packed
             if bound <= best_val:
                 return
-            branch = counts.index(max(counts))
-            include_state = include(inc, exc, dead, branch)
-            exclude_state = (inc, exc | (1 << branch), dead | membership[branch])
+            # Branch on the undecided edge in the most active conflicts,
+            # the lowest index among ties.
+            branch = -1
+            most = 0
+            free = full & ~(inc | exc)
+            while free:
+                low = free & -free
+                free ^= low
+                e = low.bit_length() - 1
+                count = (membership[e] & active).bit_count()
+                if count > most:
+                    most = count
+                    branch = e
+            include_state = include(inc, exc, active, hit, branch)
+            exclude_state = (inc, exc | (1 << branch), active & keep[branch], hit)
             if bound - best_val >= 2:
                 order = (include_state, exclude_state)
             else:
@@ -308,7 +341,7 @@ def solve_exact(
         # Root symmetry breaking: ground edges are interchangeable under
         # vertex relabeling and a single edge is always conflict-free, so
         # some optimum contains the first ground edge.
-        root = include(0, 0, 0, 0)
+        root = include(0, 0, all_conflicts, 0, 0)
         try:
             if root is not None:
                 dfs(*root)
@@ -395,10 +428,13 @@ def solve_family(
     seed_witness: Optional[Hypergraph | Iterable[int]] = None,
 ) -> SolveRecord:
     """Cache-aware wrapper: consult the cache first, otherwise build the
-    conflict system, solve, and append the result when proved optimal."""
+    conflict system, solve, and append the result when proved optimal.
+    Budgets are checked before the cache is read, so a bad budget is refused
+    whether or not the record is cached."""
     profile = canonical_regions(*f.edges) if len(f.edges) == 3 else None
     if profile is None:
         raise ValueError("forbidden pattern must have exactly 3 edges")
+    _check_budgets(budget_nodes, budget_secs)
     if cache is not None:
         hit = cache.lookup(profile, n)
         if hit is not None:

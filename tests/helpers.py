@@ -158,3 +158,104 @@ def milp_optimum(nvars: int, triples: list[tuple[int, int, int]]) -> int:
     res = milp(c=c, constraints=constraints, integrality=np.ones(nvars), bounds=Bounds(0, 1))
     assert res.status == 0, res.message
     return round(-res.fun)
+
+
+def reference_search(system, seed_mask: int = 0) -> tuple[int, int, tuple[int, ...]]:
+    """The solver's branch and bound with the per-node rescan: every node
+    walks all active conflicts to rebuild the branch counts and the greedy
+    2-/3-undecided packing. Same branching, packing, propagation and root
+    break as solve_exact, no budgets. Returns (optimum, nodes, witness)."""
+    m = len(system.ground)
+    conflicts = system.conflicts
+    assert m and conflicts, "reference search needs a system with conflicts"
+    best_val = seed_mask.bit_count()
+    best_mask = seed_mask
+    nodes = 0
+    full = (1 << m) - 1
+    pairs = [[] for _ in range(m)]
+    membership = [0] * m
+    conflict_edge_masks = []
+    for ci, (a, b, c) in enumerate(conflicts):
+        pairs[a].append((b, c))
+        pairs[b].append((a, c))
+        pairs[c].append((a, b))
+        bit = 1 << ci
+        membership[a] |= bit
+        membership[b] |= bit
+        membership[c] |= bit
+        conflict_edge_masks.append((1 << a) | (1 << b) | (1 << c))
+    all_active = (1 << len(conflicts)) - 1
+
+    def include(inc, exc, dead, e):
+        inc |= 1 << e
+        for j, k in pairs[e]:
+            jb, kb = 1 << j, 1 << k
+            if exc & (jb | kb):
+                continue
+            j_in = inc & jb
+            k_in = inc & kb
+            if j_in and k_in:
+                return None
+            if j_in:
+                exc |= kb
+                dead |= membership[k]
+            elif k_in:
+                exc |= jb
+                dead |= membership[j]
+        return inc, exc, dead
+
+    def dfs(inc, exc, dead):
+        nonlocal best_val, best_mask, nodes
+        nodes += 1
+        active = all_active & ~dead
+        exc_count = exc.bit_count()
+        if not active:
+            val = m - exc_count
+            if val > best_val:
+                best_val = val
+                best_mask = full & ~exc
+            return
+        inc_count = inc.bit_count()
+        undecided = m - inc_count - exc_count
+        if inc_count + undecided <= best_val:
+            return
+        counts = [0] * m
+        parts2 = []
+        parts3 = []
+        a = active
+        while a:
+            low = a & -a
+            ci = low.bit_length() - 1
+            a ^= low
+            u = conflict_edge_masks[ci] & ~inc
+            if u.bit_count() == 2:
+                parts2.append(u)
+            else:
+                parts3.append(u)
+            while u:
+                ub = u & -u
+                counts[ub.bit_length() - 1] += 1
+                u ^= ub
+        used = 0
+        packed = 0
+        for u in parts2 + parts3:
+            if not u & used:
+                packed += 1
+                used |= u
+        bound = inc_count + undecided - packed
+        if bound <= best_val:
+            return
+        branch = counts.index(max(counts))
+        include_state = include(inc, exc, dead, branch)
+        exclude_state = (inc, exc | (1 << branch), dead | membership[branch])
+        if bound - best_val >= 2:
+            order = (include_state, exclude_state)
+        else:
+            order = (exclude_state, include_state)
+        for state in order:
+            if state is not None:
+                dfs(*state)
+
+    dfs(*include(0, 0, 0, 0))
+    witness = tuple(system.ground[i] for i in range(m) if best_mask >> i & 1)
+    return best_val, nodes, witness

@@ -193,6 +193,25 @@ class TestSolveAndDensity:
         )
         assert code == 0 and "optimum=16" in out
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    @pytest.mark.parametrize("flag, env, value", [
+        ("--budget-nodes", "TURANKIT_BUDGET_NODES", "0"),
+        ("--budget-nodes", "TURANKIT_BUDGET_NODES", "-5"),
+        ("--budget-secs", "TURANKIT_BUDGET_SECS", "nan"),
+        ("--budget-secs", "TURANKIT_BUDGET_SECS", "-1"),
+    ])
+    def test_bad_budget_rejected(self, capsys, tmp_path, monkeypatch, flag, env, value, via_env):
+        # The record is cached first: a bad budget is refused even on a hit.
+        argv = ["--cache", str(tmp_path / "c.jsonl"), "solve", "--family", "triangle", "--n", "5"]
+        assert run(capsys, *argv)[0] == 0
+        if via_env:
+            monkeypatch.setenv(env, value)
+        else:
+            argv += [flag, value]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "budget" in err and value in err
+
     def test_quiet_suppresses_detail(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "--quiet", "--cache", str(tmp_path / "c.jsonl"),
@@ -286,6 +305,18 @@ class TestReduceHomStability:
         code, out, _ = run(capsys, "stability", "--input", str(source))
         assert code == 0
         assert "bad=0 missing=0 total=0" in out
+
+    def test_stability_zero_threshold_warns_every_call(self, capsys, tmp_path):
+        from turankit import Partition, odd_bipartite
+
+        h = odd_bipartite(Partition.from_part1(6, [0]), 4)
+        source = tmp_path / "b.hg"
+        source.write_text(format_hypergraph(h))
+        for _ in range(2):
+            code, out, err = run(capsys, "stability", "--input", str(source), "--threshold", "0")
+            assert code == 0
+            assert "heavy vertices (threshold 0): [0, 1, 2, 3, 4, 5]" in out
+            assert err == "warning: threshold 0 selects every vertex\n"
 
     def test_stability_balanced_flag(self, capsys, tmp_path):
         from turankit import Partition, odd_bipartite

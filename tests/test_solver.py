@@ -35,6 +35,7 @@ from helpers import (
     milp_optimum,
     parse_dimacs,
     parse_lp_maximize,
+    reference_search,
     subset_scan_optimum,
 )
 
@@ -194,6 +195,53 @@ class TestSolveExact:
         record = solve_exact(forbidden_triples(T4, 5))
         assert record.optimum == 5  # all C(5,4) edges fit
         assert record.proved_optimal
+
+    def test_node_counts_pinned(self):
+        # The search tree is fixed by the branch order (most active
+        # conflicts, lowest index on ties) and the packing order (two-
+        # undecided conflicts first, then by index). A kernel rewrite must
+        # keep both, so it must keep these counts.
+        for f, n, nodes in ((K3, 8, 91), (K3, 9, 295), (K3, 10, 667), (K4_MINUS, 6, 71)):
+            record = solve_exact(forbidden_triples(f, n))
+            assert (record.nodes, record.status) == (nodes, STATUS_OPTIMAL)
+        seeded = solve_exact(forbidden_triples(T4, 7), seed_witness=max_odd_bipartite(7, 4)[1])
+        assert (seeded.optimum, seeded.nodes) == (20, 493)
+        cut = solve_exact(forbidden_triples(K3, 11), budget_nodes=500)
+        assert (cut.optimum, cut.nodes, cut.status) == (30, 500, STATUS_LOWER_BOUND)
+
+    def test_matches_reference_search(self):
+        # Every r=2,3 class at n = support .. support+2 with conflicts and at
+        # most 35 ground edges: same optimum, node count and witness as the
+        # per-node rescanning search in the test helpers.
+        instances = []
+        for r in (2, 3):
+            for entry in enumerate_three_edge(r).entries:
+                f = entry.representative
+                for n in range(f.support_size, f.support_size + 3):
+                    system = forbidden_triples(f, n)
+                    if system.conflicts and len(system.ground) <= 35:
+                        instances.append((entry.profile, system))
+        assert len(instances) == 36 and len({p for p, _ in instances}) == 15
+        for _, system in instances:
+            record = solve_exact(system)
+            assert reference_search(system) == (record.optimum, record.nodes, record.witness)
+        system = forbidden_triples(T4, 7)
+        seed = max_odd_bipartite(7, 4)[1]
+        seed_mask = sum(1 << system.ground.index(e) for e in seed.edges)
+        record = solve_exact(system, seed_witness=seed)
+        assert reference_search(system, seed_mask) == (record.optimum, record.nodes, record.witness)
+
+    @pytest.mark.parametrize("budgets", [
+        {"budget_nodes": 0},
+        {"budget_nodes": -5},
+        {"budget_secs": -1.0},
+        {"budget_secs": float("nan")},
+    ])
+    def test_bad_budgets_rejected(self, budgets):
+        with pytest.raises(ValueError, match="budget"):
+            solve_exact(forbidden_triples(K3, 5), **budgets)
+        with pytest.raises(ValueError, match="budget"):
+            solve_family(K3, 5, **budgets)
 
 
 class TestDensitySequence:
