@@ -264,18 +264,25 @@ def cmd_hom(args) -> int:
     return 0
 
 
+def _budget(flag_value, var: str, parse):
+    """The flag's budget if given, else the environment variable's, if set."""
+    raw = os.environ.get(var)
+    if flag_value is not None or not raw:
+        return flag_value
+    try:
+        return parse(raw)
+    except ValueError:
+        raise UsageError(f"{var} is not a valid {parse.__name__}: {raw!r}") from None
+
+
 def _solve_range(args, n_values: list[int]) -> tuple[str, list[SolveRecord]]:
     """Solve the --family pattern at each n: budgets from the flags, else the
     environment; with --seed-construction, the odd-bipartite seed when the
     pattern is an expanded triangle; the --cache file when set. Returns the
     family's display name and the audited records."""
     f, name = _resolve_family(args)
-    nodes = args.budget_nodes
-    secs = args.budget_secs
-    if nodes is None and os.environ.get(ENV_BUDGET_NODES):
-        nodes = int(os.environ[ENV_BUDGET_NODES])
-    if secs is None and os.environ.get(ENV_BUDGET_SECS):
-        secs = float(os.environ[ENV_BUDGET_SECS])
+    nodes = _budget(args.budget_nodes, ENV_BUDGET_NODES, int)
+    secs = _budget(args.budget_secs, ENV_BUDGET_SECS, float)
     seeds = {}
     k = f.r // 2
     if (args.seed_construction and f.r % 2 == 0

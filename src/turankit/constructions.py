@@ -41,9 +41,6 @@ class Partition:
         s1 = self.part1.bit_count()
         return (s1, self.n - s1)
 
-    def swapped(self) -> "Partition":
-        return Partition(self.n, self.part2)
-
     def part1_vertices(self) -> list[int]:
         return edge_vertices(self.part1)
 
@@ -134,16 +131,12 @@ def max_odd_bipartite(n: int, uniformity: int) -> tuple[Partition, Hypergraph, i
     return partition, odd_bipartite(partition, uniformity), count
 
 
-def matching(r: int, m: int, n: int | None = None) -> Hypergraph:
-    """m pairwise disjoint r-edges on n vertices (default n = r*m)."""
+def matching(r: int, m: int) -> Hypergraph:
+    """m pairwise disjoint r-edges on r*m vertices."""
     if r < 1 or m < 0:
         raise ValueError("need uniformity >= 1 and a non-negative edge count")
-    if n is None:
-        n = r * m
-    if n < r * m:
-        raise ValueError(f"{n} vertices cannot hold {m} disjoint {r}-edges")
     block = (1 << r) - 1
-    return from_masks(n, r, (block << (i * r) for i in range(m)))
+    return from_masks(r * m, r, (block << (i * r) for i in range(m)))
 
 
 def complete_rgraph(n: int, r: int) -> Hypergraph:

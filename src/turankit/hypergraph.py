@@ -61,10 +61,6 @@ class Hypergraph:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        bit = 1 << v
-        return sum(1 for e in self.edges if e & bit)
-
     def degrees(self) -> list[int]:
         degs = [0] * self.n
         for e in self.edges:
@@ -190,9 +186,6 @@ class VertexMap:
         for w in self.images:
             if not 0 <= w < self.codomain_size:
                 raise ValueError(f"image {w} outside 0..{self.codomain_size - 1}")
-
-    def __call__(self, v: int) -> int:
-        return self.images[v]
 
     def apply_mask(self, mask: int) -> int:
         out = 0

@@ -9,9 +9,9 @@ append-only JSONL result cache keyed by the pattern's region profile.
 
 The search state is a handful of Python ints used as bitsets: included and
 excluded edges over the ground set, and the active and hit conflicts over
-the conflict list. Each node's branch counts and packing are big-int
-operations on per-edge conflict-membership masks, not a loop over every
-active conflict.
+the conflict list. Each node's branch counts, packing and propagation are
+big-int operations on per-edge conflict-membership masks, the one conflict
+index the search keeps, not a loop over every active conflict.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class TripleSystem:
     family_profile: tuple[int, ...]
     family_name: str
     trivial: bool
-
-    def __len__(self) -> int:
-        return len(self.ground)
 
 
 @dataclass(frozen=True)
@@ -203,14 +200,17 @@ def solve_exact(
     non-negative number (0.0 stops at the first deadline poll); anything
     else raises ValueError.
 
-    A conflict is active while none of its edges is excluded. Including an
-    edge excludes the third edge of every conflict it completes to two, so an
-    active conflict holds at most one included edge. The search carries hit,
-    the conflicts containing an included edge: the active conflicts in hit
-    have exactly two undecided edges, the others three. The packing takes
-    the former, then the latter, each in conflict-index order, keeping a
-    conflict when no earlier pick shares an undecided edge with it; each
-    pick removes every conflict through its undecided edges' membership
+    A conflict is active while none of its edges is excluded, and the search
+    carries hit, the conflicts containing an included edge. Including edge e
+    excludes the third edge of each conflict in membership[e] & active & hit,
+    the active conflicts of e that already hold an included edge. So an
+    active conflict never holds two included edges: when its second edge was
+    included it was active and in hit, and its third edge was excluded then.
+    Including an undecided edge is therefore always feasible, and the active
+    conflicts in hit have exactly two undecided edges, the others three. The
+    packing takes the former, then the latter, each in conflict-index order,
+    keeping a conflict when no earlier pick shares an undecided edge with it;
+    each pick removes every conflict through its undecided edges' membership
     masks. This is the same first-fit greedy as scanning every active
     conflict, at O(picks) big-int operations instead of O(active); an edge's
     branch count is one AND and bit_count of its mask with the active set.
@@ -234,20 +234,14 @@ def solve_exact(
     status = STATUS_OPTIMAL
     full = (1 << m) - 1
 
-    if m == 0:
-        pass
-    elif not conflicts:
+    if not conflicts:
         best_val, best_mask = m, full
     else:
         # Conflict ci is bit last - ci of the conflict bitsets, so the
         # lowest-index conflict of a set is its top bit, read in O(1).
         last = len(conflicts) - 1
-        pairs: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         membership = [0] * m
         for ci, (a, b, c) in enumerate(conflicts):
-            pairs[a].append((b, c))
-            pairs[b].append((a, c))
-            pairs[c].append((a, b))
             bit = 1 << (last - ci)
             membership[a] |= bit
             membership[b] |= bit
@@ -256,24 +250,17 @@ def solve_exact(
         keep = [all_conflicts & ~mem for mem in membership]
 
         def include(inc: int, exc: int, active: int, hit: int, e: int):
-            # Include edge e and propagate: a conflict with two included
-            # edges forces exclusion of its third. Exclusions cascade no
-            # further, so one pass over e's conflict partners suffices.
+            # Include edge e and propagate: each active conflict of e that
+            # already holds an included edge forces its third edge out.
+            # Exclusions cascade no further, so one pass suffices.
             inc |= 1 << e
-            for j, k in pairs[e]:
-                jb, kb = 1 << j, 1 << k
-                if exc & (jb | kb):
-                    continue
-                j_in = inc & jb
-                k_in = inc & kb
-                if j_in and k_in:
-                    return None
-                if j_in:
-                    exc |= kb
-                    active &= keep[k]
-                elif k_in:
-                    exc |= jb
-                    active &= keep[j]
+            forced = membership[e] & active & hit
+            while forced:
+                for x in conflicts[last + 1 - forced.bit_length()]:
+                    if not inc >> x & 1:
+                        exc |= 1 << x
+                        active &= keep[x]
+                forced &= active
             return inc, exc, active, hit | membership[e]
 
         def dfs(inc: int, exc: int, active: int, hit: int):
@@ -335,18 +322,13 @@ def solve_exact(
             else:
                 order = (exclude_state, include_state)
             for state in order:
-                if state is not None:
-                    dfs(*state)
+                dfs(*state)
 
         # Root symmetry breaking: ground edges are interchangeable under
         # vertex relabeling and a single edge is always conflict-free, so
         # some optimum contains the first ground edge.
-        root = include(0, 0, all_conflicts, 0, 0)
         try:
-            if root is not None:
-                dfs(*root)
-            else:
-                raise AssertionError("first ground edge infeasible at the root")
+            dfs(*include(0, 0, all_conflicts, 0, 0))
         except _BudgetExhausted:
             status = STATUS_LOWER_BOUND
 
@@ -377,7 +359,8 @@ class ResultCache:
 
     One self-contained JSON object per line. Readers ignore a trailing
     partial record, so a crashed or in-progress append never poisons the
-    file; any earlier malformed line raises.
+    file; any earlier malformed line raises, and so does any record whose
+    optimum is not the size of its witness (solve_exact never writes one).
     """
 
     def __init__(self, path: str):
@@ -393,20 +376,23 @@ class ResultCache:
             if not line.strip():
                 continue
             try:
-                out.append(SolveRecord.from_json_dict(json.loads(line)))
+                rec = SolveRecord.from_json_dict(json.loads(line))
             except (json.JSONDecodeError, KeyError):
                 if i == len(lines) - 1:
                     break  # append in progress
+                rec = None
+            if rec is None or rec.optimum != len(rec.witness):
                 raise ValueError(f"corrupt cache line {i + 1} in {self.path}")
+            out.append(rec)
         return out
 
-    def lookup(self, profile: tuple[int, ...], n: int, version: str = SOLVER_VERSION) -> Optional[SolveRecord]:
+    def lookup(self, profile: tuple[int, ...], n: int) -> Optional[SolveRecord]:
         hit = None
         for rec in self.records():
             if (
                 tuple(rec.family_profile) == tuple(profile)
                 and rec.n == n
-                and rec.version == version
+                and rec.version == SOLVER_VERSION
                 and rec.proved_optimal
             ):
                 hit = rec

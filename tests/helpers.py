@@ -54,7 +54,7 @@ def brute_force_copies(f: Hypergraph, h: Hypergraph) -> list[tuple[int, int, int
 def all_maps_homomorphism_exists(f1: Hypergraph, f2: Hypergraph) -> bool:
     """Homomorphism existence by checking every vertex map. Tiny inputs only."""
     edges2 = set(f2.edges)
-    verts = [v for v in range(f1.n) if f1.degree(v)]
+    verts = [v for v in range(f1.n) if sum(e >> v & 1 for e in f1.edges)]
     for images in itertools.product(range(f2.n), repeat=len(verts)):
         phi = dict(zip(verts, images))
         if all(

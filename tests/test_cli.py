@@ -163,6 +163,14 @@ class TestSolveAndDensity:
         assert code == 1 and out == ""
         assert "--n-from" in err and "--n-to" in err
 
+    def test_inconsistent_cache_line_rejected(self, capsys, tmp_path):
+        cache = tmp_path / "c.jsonl"
+        run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")
+        cache.write_text(cache.read_text().replace('"optimum":9', '"optimum":15'))
+        code, out, err = run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")
+        assert code == 1 and out == ""
+        assert err.startswith("error: corrupt cache line 1")
+
     def test_cache_reused_across_runs(self, capsys, tmp_path):
         cache = tmp_path / "c.jsonl"
         run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")
@@ -211,6 +219,16 @@ class TestSolveAndDensity:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "budget" in err and value in err
+
+    @pytest.mark.parametrize("env, value", [
+        ("TURANKIT_BUDGET_NODES", "abc"),
+        ("TURANKIT_BUDGET_SECS", "fast"),
+    ])
+    def test_non_numeric_env_budget_named(self, capsys, monkeypatch, env, value):
+        monkeypatch.setenv(env, value)
+        code, out, err = run(capsys, "solve", "--family", "triangle", "--n", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and env in err and value in err
 
     def test_quiet_suppresses_detail(self, capsys, tmp_path):
         code, out, _ = run(

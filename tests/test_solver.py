@@ -7,6 +7,7 @@ solve; see also the acceptance suite.
 
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -222,7 +223,20 @@ class TestSolveExact:
                     if system.conflicts and len(system.ground) <= 35:
                         instances.append((entry.profile, system))
         assert len(instances) == 36 and len({p for p, _ in instances}) == 15
-        for _, system in instances:
+        # The dense r=4,5 systems (up to 1,260 conflicts on 35 edges) at
+        # n = support, support+1, where propagation does most of the work.
+        # C(n, r) is checked before building: the copy scan is cubic in it.
+        dense = []
+        for r in (4, 5):
+            for entry in enumerate_three_edge(r).entries:
+                f = entry.representative
+                for n in (f.support_size, f.support_size + 1):
+                    if comb(n, r) <= 35:
+                        system = forbidden_triples(f, n)
+                        if system.conflicts:
+                            dense.append((entry.profile, system))
+        assert len(dense) == 21 and len({p for p, _ in dense}) == 15
+        for _, system in instances + dense:
             record = solve_exact(system)
             assert reference_search(system) == (record.optimum, record.nodes, record.witness)
         system = forbidden_triples(T4, 7)
@@ -323,7 +337,8 @@ class TestCache:
         record = solve_exact(forbidden_triples(K3, 5, "triangle"))
         stale = json.loads(json.dumps(record.to_json_dict()))
         stale["version"] = "0-obsolete"
-        stale["optimum"] = 99
+        stale["witness"] = stale["witness"][:-1]
+        stale["optimum"] = len(stale["witness"])
         path.write_text(json.dumps(stale) + "\n")
         assert cache.lookup(record.family_profile, 5) is None
 
@@ -343,6 +358,20 @@ class TestCache:
         path.write_text("not json\n" + json.dumps(record.to_json_dict()) + "\n")
         with pytest.raises(ValueError, match="corrupt"):
             cache.records()
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_optimum_disagreeing_with_witness_raises(self, tmp_path, last):
+        # A complete line is never an append in progress, even the last one.
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        record = solve_exact(forbidden_triples(K3, 6, "triangle"))
+        good = json.dumps(record.to_json_dict())
+        bad = json.dumps(dict(record.to_json_dict(), optimum=record.optimum + 6))
+        path.write_text("\n".join([good, bad] if last else [bad, good]) + "\n")
+        with pytest.raises(ValueError, match=f"corrupt cache line {2 if last else 1}"):
+            cache.records()
+        with pytest.raises(ValueError, match="corrupt"):
+            solve_family(K3, 6, cache=cache)
 
     def test_json_schema_round_trip(self):
         record = solve_exact(forbidden_triples(K4_MINUS, 5, "k4minus"))
