@@ -62,7 +62,6 @@ class TripleSystem:
     conflicts: tuple[tuple[int, int, int], ...]
     family_profile: tuple[int, ...]
     family_name: str
-    trivial: bool
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,7 @@ class SolveRecord:
 def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSystem:
     """Materialize the conflict system of the three-edge pattern f on [n].
 
-    When n is smaller than f's support the conflict list is empty and the
-    system is flagged trivially unconstrained.
+    When n is smaller than f's support the conflict list is empty.
     """
     if len(f.edges) != 3:
         raise ValueError(f"forbidden pattern must have exactly 3 edges, got {len(f.edges)}")
@@ -136,9 +134,8 @@ def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSys
     complete = complete_rgraph(n, r) if n >= r else Hypergraph(n, r, ())
     ground = complete.edges
     profile = canonical_regions(*f.edges)
-    trivial = n < f.support_size
-    if trivial or not ground:
-        return TripleSystem(n, r, ground, (), profile, family_name, trivial)
+    if n < f.support_size or not ground:
+        return TripleSystem(n, r, ground, (), profile, family_name)
     index = {mask: i for i, mask in enumerate(ground)}
     conflicts = tuple(
         sorted(
@@ -146,7 +143,7 @@ def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSys
             for triple in copies_of(f, complete)
         )
     )
-    return TripleSystem(n, r, ground, conflicts, profile, family_name, trivial)
+    return TripleSystem(n, r, ground, conflicts, profile, family_name)
 
 
 def _violates(conflicts: Sequence[tuple[int, int, int]], mask: int) -> bool:
@@ -354,53 +351,119 @@ def solve_exact(
 
 # -- result cache -----------------------------------------------------------
 
+def _reusable(rec: SolveRecord) -> bool:
+    return rec.version == SOLVER_VERSION and rec.proved_optimal
+
+
 class ResultCache:
     """Append-only JSONL store of solve records.
 
-    One self-contained JSON object per line. Readers ignore a trailing
-    partial record, so a crashed or in-progress append never poisons the
-    file; any earlier malformed line raises, and so does any record whose
-    optimum is not the size of its witness (solve_exact never writes one).
+    One self-contained JSON object per line. The file is loaded once per
+    ResultCache: each records() or lookup() call stats it and decodes only
+    the bytes appended since the previous call, so appends by other writers
+    are seen on the next call. A file that was replaced (a new device and
+    inode), shrank or disappeared is read again from the start; rewriting
+    it in place without shrinking it is not detected. Readers ignore a
+    trailing partial record, so a crashed or in-progress append never
+    poisons the file; any earlier malformed line raises, and so does any
+    record whose optimum is not the size of its witness (solve_exact never
+    writes one). Once a corrupt line is found, every later call raises it
+    until the file is replaced, truncated or removed. append writes each record with a single
+    write on an O_APPEND descriptor, so concurrent writers never interleave
+    within a line. solve_family checks every hit's witness against the
+    requested pattern.
     """
 
     def __init__(self, path: str):
         self.path = path
+        self._reset(None)
+
+    def _reset(self, file_id: Optional[tuple[int, int]]) -> None:
+        self._file_id = file_id
+        self._size = 0  # file size at the last read
+        self._offset = 0  # bytes in settled lines, which later bytes cannot change
+        self._lines = 0  # number of settled lines
+        self._settled: list[SolveRecord] = []
+        # (profile, n) -> the last proved current-version settled record
+        self._index: dict[tuple[tuple[int, ...], int], SolveRecord] = {}
+        self._tail: list[SolveRecord] = []  # records after the settled lines
+        self._error: Optional[str] = None
+
+    def _refresh(self) -> None:
+        """Bring the records up to date with the file, raising on a corrupt line."""
+        if not os.path.exists(self.path):
+            self._reset(None)
+            return
+        with open(self.path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            file_id = (st.st_dev, st.st_ino)
+            if file_id != self._file_id or st.st_size < self._size:
+                self._reset(file_id)
+            if self._error is None and st.st_size != self._size:
+                fh.seek(self._offset)
+                self._read(fh.read())
+        if self._error is not None:
+            raise ValueError(self._error)
+
+    def _read(self, data: bytes) -> None:
+        """Decode the bytes from the first unsettled line to the end of file.
+
+        A line is settled once it ends in a newline and decodes; the last
+        line of the file is an append in progress when it does not decode,
+        so it is decoded again, with whatever follows it, on the next read.
+        """
+        cut = data.rfind(b"\n") + 1
+        complete = data[:cut].decode("utf-8").splitlines(keepends=True)
+        lines = complete + data[cut:].decode("utf-8").splitlines()
+        end = self._offset + len(data)
+        first = self._lines + 1
+        self._tail = []
+        for i, line in enumerate(lines):
+            rec = None
+            if line.strip():
+                try:
+                    rec = SolveRecord.from_json_dict(json.loads(line))
+                except (json.JSONDecodeError, KeyError):
+                    if i == len(lines) - 1:
+                        break  # append in progress
+                if rec is None or rec.optimum != len(rec.witness):
+                    self._error = f"corrupt cache line {first + i} in {self.path}"
+                    return
+            if i < len(complete):
+                self._offset += len(line.encode("utf-8"))
+                self._lines += 1
+                if rec is not None:
+                    self._settled.append(rec)
+                    if _reusable(rec):
+                        self._index[rec.family_profile, rec.n] = rec
+            elif rec is not None:
+                self._tail.append(rec)
+        self._size = end
 
     def records(self) -> list[SolveRecord]:
-        if not os.path.exists(self.path):
-            return []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        out = []
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                rec = SolveRecord.from_json_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError):
-                if i == len(lines) - 1:
-                    break  # append in progress
-                rec = None
-            if rec is None or rec.optimum != len(rec.witness):
-                raise ValueError(f"corrupt cache line {i + 1} in {self.path}")
-            out.append(rec)
-        return out
+        self._refresh()
+        return self._settled + self._tail
 
     def lookup(self, profile: tuple[int, ...], n: int) -> Optional[SolveRecord]:
-        hit = None
-        for rec in self.records():
-            if (
-                tuple(rec.family_profile) == tuple(profile)
-                and rec.n == n
-                and rec.version == SOLVER_VERSION
-                and rec.proved_optimal
-            ):
-                hit = rec
-        return hit
+        """The last proved record of the current version for (profile, n)."""
+        self._refresh()
+        key = (tuple(profile), n)
+        for rec in reversed(self._tail):
+            if (rec.family_profile, rec.n) == key and _reusable(rec):
+                return rec
+        return self._index.get(key)
 
     def append(self, record: SolveRecord) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record.to_json_dict(), separators=(",", ":")) + "\n")
+        line = (json.dumps(record.to_json_dict(), separators=(",", ":")) + "\n").encode("utf-8")
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            written = os.write(fd, line)
+        finally:
+            os.close(fd)
+        # A second write could land after another writer's line, so a short
+        # write is an error rather than something to finish.
+        if written != len(line):
+            raise OSError(f"short write to {self.path}: {written} of {len(line)} bytes")
 
 
 def solve_family(
@@ -416,7 +479,8 @@ def solve_family(
     """Cache-aware wrapper: consult the cache first, otherwise build the
     conflict system, solve, and append the result when proved optimal.
     Budgets are checked before the cache is read, so a bad budget is refused
-    whether or not the record is cached."""
+    whether or not the record is cached. A cached witness that contains a
+    copy of f raises ValueError naming the cache file."""
     profile = canonical_regions(*f.edges) if len(f.edges) == 3 else None
     if profile is None:
         raise ValueError("forbidden pattern must have exactly 3 edges")
@@ -424,6 +488,8 @@ def solve_family(
     if cache is not None:
         hit = cache.lookup(profile, n)
         if hit is not None:
+            if next(copies_of(f, hit.witness_hypergraph()), None) is not None:
+                raise ValueError(f"cached witness for n={n} contains the pattern in {cache.path}")
             return hit
     system = forbidden_triples(f, n, family_name)
     record = solve_exact(

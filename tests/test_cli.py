@@ -171,6 +171,23 @@ class TestSolveAndDensity:
         assert code == 1 and out == ""
         assert err.startswith("error: corrupt cache line 1")
 
+    def test_cached_witness_containing_the_pattern_rejected(self, capsys, tmp_path):
+        # One edge added to the cached witness closes a triangle; the optimum
+        # is raised to match, so only the hit check can catch it.
+        cache = tmp_path / "c.jsonl"
+        run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")
+        obj = json.loads(cache.read_text())
+        u, v = next(
+            (u, v) for u in range(6) for v in range(u + 1, 6) if [u, v] not in obj["witness"]
+        )
+        obj["witness"].append([u, v])
+        obj["optimum"] += 1
+        cache.write_text(json.dumps(obj) + "\n")
+        for argv in (["solve", "--n", "6"], ["density", "--n-from", "5", "--n-to", "6"]):
+            code, out, err = run(capsys, "--cache", str(cache), argv[0], "--family", "triangle", *argv[1:])
+            assert code == 1 and out == ""
+            assert err.startswith("error: cached witness for n=6 contains the pattern in " + str(cache))
+
     def test_cache_reused_across_runs(self, capsys, tmp_path):
         cache = tmp_path / "c.jsonl"
         run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")

@@ -6,11 +6,17 @@ solve; see also the acceptance suite.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import turankit
 from turankit import (
     ResultCache,
     SolveRecord,
@@ -39,6 +45,7 @@ from helpers import (
     reference_search,
     subset_scan_optimum,
 )
+from turankit.catalog import realize_profile
 
 K3 = expanded_triangle(1)
 K4_MINUS = suspension(K3, 3)
@@ -75,8 +82,8 @@ class TestForbiddenTriples:
             assert a < b < c
 
     def test_trivially_unconstrained(self):
-        system = forbidden_triples(T4, 5)  # support is 6 vertices
-        assert system.trivial and not system.conflicts
+        system = forbidden_triples(T4, 5)
+        assert 5 < T4.support_size and not system.conflicts
 
     def test_non_three_edge_pattern_rejected(self):
         with pytest.raises(ValueError):
@@ -257,6 +264,27 @@ class TestSolveExact:
         with pytest.raises(ValueError, match="budget"):
             solve_family(K3, 5, **budgets)
 
+    @settings(derandomize=True, deadline=None, max_examples=30, database=None)
+    @given(st.data())
+    def test_optimum_matches_subset_scan(self, data):
+        # Any region profile of three distinct r-edges, r <= 5, at an n from
+        # its support (below it there are no conflicts) to support + 2 whose
+        # ground set the subset scan can cover.
+        r = data.draw(st.integers(1, 5), label="r")
+        a123 = data.draw(st.integers(0, r), label="a123")
+        a12 = data.draw(st.integers(0, r - a123), label="a12")
+        a13 = data.draw(st.integers(0, r - a123 - a12), label="a13")
+        a23 = data.draw(st.integers(0, r - a123 - max(a12, a13)), label="a23")
+        profile = (r - a12 - a13 - a123, r - a12 - a23 - a123, r - a13 - a23 - a123,
+                   a12, a13, a23, a123)
+        f = realize_profile(profile, r)
+        assume(len(set(f.edges)) == 3)  # else two edges coincide
+        ns = [n for n in range(max(r, f.support_size), f.support_size + 3) if comb(n, r) <= 20]
+        assume(ns)
+        n = data.draw(st.sampled_from(ns), label="n")
+        system = forbidden_triples(f, n)
+        assert solve_exact(system).optimum == subset_scan_optimum(system)
+
 
 class TestDensitySequence:
     def test_mantel_densities(self):
@@ -311,6 +339,19 @@ class TestSuspensionInequality:
             assert Fraction(lifted, len(forbidden_triples(K4_MINUS, n).ground)) <= Fraction(
                 upper, len(forbidden_triples(K3, n - 1).ground)
             )
+
+
+def _record_with_triangle() -> SolveRecord:
+    """The proved triangle n=6 record, with one edge added that closes a
+    triangle and its optimum raised to match: consistent, but not K3-free."""
+    record = solve_exact(forbidden_triples(K3, 6, "triangle"))
+    obj = record.to_json_dict()
+    u, v = next(
+        (u, v) for u in range(6) for v in range(u + 1, 6) if [u, v] not in obj["witness"]
+    )
+    obj["witness"].append([u, v])
+    obj["optimum"] += 1
+    return SolveRecord.from_json_dict(obj)
 
 
 class TestCache:
@@ -372,6 +413,152 @@ class TestCache:
             cache.records()
         with pytest.raises(ValueError, match="corrupt"):
             solve_family(K3, 6, cache=cache)
+
+    def test_other_writers_appends_are_seen(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        reader, writer = ResultCache(path), ResultCache(path)
+        record = solve_exact(forbidden_triples(K3, 5, "triangle"))
+        assert reader.lookup(record.family_profile, 5) is None
+        writer.append(record)
+        assert reader.lookup(record.family_profile, 5) == record
+        newer = solve_exact(forbidden_triples(K3, 6, "triangle"))
+        writer.append(newer)
+        assert reader.lookup(newer.family_profile, 6) == newer
+        assert reader.records() == [record, newer]
+
+    def test_last_record_wins(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        record = solve_exact(forbidden_triples(K3, 5, "triangle"))
+        renamed = SolveRecord.from_json_dict(dict(record.to_json_dict(), family_name="again"))
+        cache.append(record)
+        assert cache.lookup(record.family_profile, 5) == record
+        cache.append(renamed)
+        assert cache.lookup(record.family_profile, 5) == renamed
+
+    def test_partial_line_completed_later(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        first = solve_exact(forbidden_triples(K3, 5, "triangle"))
+        second = solve_exact(forbidden_triples(K3, 6, "triangle"))
+        cache.append(first)
+        line = json.dumps(second.to_json_dict()) + "\n"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line[:40])
+        assert cache.records() == [first]
+        assert cache.lookup(second.family_profile, 6) is None
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line[40:])
+        assert cache.records() == [first, second]
+        assert cache.lookup(second.family_profile, 6) == second
+
+    def test_unterminated_last_line_reread(self, tmp_path):
+        # A complete record without its newline counts now, and the line it
+        # is on is read again once more bytes arrive.
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        record = solve_exact(forbidden_triples(K3, 5, "triangle"))
+        path.write_text(json.dumps(record.to_json_dict()))
+        assert cache.lookup(record.family_profile, 5) == record
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("garbage\n" + json.dumps(record.to_json_dict()) + "\n")
+        with pytest.raises(ValueError, match="corrupt cache line 1"):
+            cache.records()
+
+    def test_undecodable_last_line_is_corrupt_once_followed(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        record = solve_exact(forbidden_triples(K3, 5, "triangle"))
+        cache.append(record)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        assert cache.records() == [record]
+        cache.append(record)
+        with pytest.raises(ValueError, match="corrupt cache line 2"):
+            cache.records()
+
+    def test_corrupt_line_in_later_read_keeps_absolute_number(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        record = solve_exact(forbidden_triples(K3, 5, "triangle"))
+        for _ in range(3):
+            cache.append(record)
+        assert len(cache.records()) == 3
+        bad = json.dumps(dict(record.to_json_dict(), optimum=record.optimum + 1))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n" + bad + "\n")
+        for _ in range(2):  # every later call raises, not only the first
+            with pytest.raises(ValueError, match=f"corrupt cache line 5 in {path}"):
+                cache.records()
+            with pytest.raises(ValueError, match="corrupt cache line 5"):
+                cache.lookup(record.family_profile, 5)
+
+    def test_replaced_truncated_or_removed_file_reread(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        five = solve_exact(forbidden_triples(K3, 5, "triangle"))
+        six = solve_exact(forbidden_triples(K3, 6, "triangle"))
+        cache.append(five)
+        cache.append(six)
+        assert cache.records() == [five, six]
+        # Truncated in place: same inode, fewer bytes.
+        path.write_text(json.dumps(six.to_json_dict()) + "\n")
+        assert cache.records() == [six]
+        assert cache.lookup(five.family_profile, 5) is None
+        # Replaced by a longer file under the same name.
+        fresh = tmp_path / "fresh.jsonl"
+        fresh.write_text("".join(json.dumps(r.to_json_dict()) + "\n" for r in (five, five, five)))
+        os.replace(fresh, path)
+        assert cache.records() == [five, five, five]
+        assert cache.lookup(six.family_profile, 6) is None
+        path.unlink()
+        assert cache.records() == []
+        assert cache.lookup(five.family_profile, 5) is None
+
+    def test_replacing_a_corrupt_file_clears_the_error(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        record = solve_exact(forbidden_triples(K3, 5, "triangle"))
+        path.write_text("not json\n" + json.dumps(record.to_json_dict()) + "\n")
+        with pytest.raises(ValueError, match="corrupt cache line 1"):
+            cache.records()
+        fresh = tmp_path / "fresh.jsonl"
+        fresh.write_text(json.dumps(record.to_json_dict()) + "\n")
+        os.replace(fresh, path)
+        assert cache.records() == [record]
+
+    def test_hit_containing_the_pattern_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        cache.append(_record_with_triangle())
+        with pytest.raises(ValueError, match=f"contains the pattern in {path}"):
+            solve_family(K3, 6, family_name="triangle", cache=cache)
+
+    def test_concurrent_appends_do_not_interleave(self, tmp_path):
+        # Long lines (about 50 KB each) and a busy-wait start keep the two
+        # writers' appends overlapping, so split writes would interleave.
+        path = tmp_path / "cache.jsonl"
+        go = tmp_path / "go"
+        script = (
+            "import os, sys\n"
+            "from turankit import ResultCache, expanded_triangle, forbidden_triples, solve_exact\n"
+            "record = solve_exact(forbidden_triples(expanded_triangle(1), 6, sys.argv[2] * 50000))\n"
+            "cache = ResultCache(sys.argv[1])\n"
+            "while not os.path.exists(sys.argv[3]):\n"
+            "    pass\n"
+            "for _ in range(200):\n"
+            "    cache.append(record)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(turankit.__file__).parents[1]))
+        writers = [
+            subprocess.Popen([sys.executable, "-c", script, str(path), name, str(go)], env=env)
+            for name in "ab"
+        ]
+        go.touch()
+        assert [w.wait(timeout=60) for w in writers] == [0, 0]
+        records = ResultCache(str(path)).records()
+        assert len(records) == 400
+        assert sorted({rec.family_name[0] for rec in records}) == ["a", "b"]
 
     def test_json_schema_round_trip(self):
         record = solve_exact(forbidden_triples(K4_MINUS, 5, "k4minus"))
