@@ -364,6 +364,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    if args.scan_links and args.threshold is not None:
+        raise UsageError("--threshold applies without --scan-links only")
     h = _read_hypergraph(args.input)
     if args.scan_links:
         scan = link_partition_scan(h, balanced_only=args.balanced)

@@ -58,13 +58,7 @@ def find_homomorphism(f1: Hypergraph, f2: Hypergraph) -> Optional[VertexMap]:
     """
     if f1.r != f2.r:
         raise ValueError(f"uniformity mismatch: {f1.r} vs {f2.r}")
-    if not f1.edges:
-        if f1.n == 0:
-            return VertexMap(0, f2.n, ())
-        if f2.n == 0:
-            return None
-        return VertexMap(f1.n, f2.n, (0,) * f1.n)
-    if not f2.edges:
+    if f1.n and not f2.n:
         return None
 
     degs = f1.degrees()
@@ -163,27 +157,17 @@ def _claim_pair(f: Hypergraph) -> Optional[tuple[int, int]]:
     return None
 
 
-def _into_apex_target(f: Hypergraph) -> tuple[Hypergraph, VertexMap]:
-    """Homomorphism of f into the smallest max-degree-3 member: one apex over
-    a triangle, suspended to f's uniformity."""
-    target = suspension(expanded_triangle(1), f.r)
-    hom = find_homomorphism(f, target)
-    if hom is None:
-        raise AssertionError(
-            f"no homomorphism from {f.edge_vertex_lists()} onto the apex target"
-        )
-    return target, hom
-
-
 def reduce_to_max_degree3(f1: Hypergraph) -> tuple[Hypergraph, VertexMap]:
     """Map a three-edge hypergraph with a degree-one vertex into a three-edge
     target of maximum degree 3 and minimum degree at least 2.
 
-    Splits on the maximum degree of the input: a perfect matching maps onto
-    any max-degree-3 target directly; with a degree-3 vertex the plain fold
-    reduction already lands on one; with maximum degree 2 a fold of a
-    degree-one vertex onto a degree-two vertex sharing no edge with it
-    creates a degree-3 vertex, and the procedure recurses.
+    With maximum degree 2, a degree-one vertex is first folded onto a
+    degree-two vertex that shares no edge with it, which creates a degree-3
+    vertex. While three edges, a degree-one vertex and a degree-3 vertex
+    remain, the plain fold reduction runs. If it reaches minimum degree 2
+    that is the target; otherwise (a perfect matching, or a collapse to two
+    or fewer edges) the result maps into the smallest max-degree-3 target,
+    one apex over a triangle, suspended to the input's uniformity.
     """
     r = f1.r
     if r < 3:
@@ -193,31 +177,23 @@ def reduce_to_max_degree3(f1: Hypergraph) -> tuple[Hypergraph, VertexMap]:
     if min_positive_degree(f1) != 1:
         raise ValueError("minimum non-isolated degree is not 1")
 
-    delta_max = max_degree(f1)
-    if delta_max == 1:
-        return _into_apex_target(f1)
-
-    if delta_max == 3:
-        trace = reduce_to_core(f1)
-        if trace.status == REACHED_MIN_DEGREE_2:
-            if max_degree(trace.terminal) != 3:
-                raise AssertionError("fold reduction lost the degree-3 vertex")
-            return trace.terminal, trace.map
-        target, hom = _into_apex_target(trace.terminal)
-        return target, trace.map.then(hom)
-
-    # delta_max == 2: fold a degree-one vertex onto a degree-two vertex that
-    # shares no edge with it, forcing a degree-3 vertex.
-    pair = _claim_pair(f1)
-    if pair is None:
-        raise AssertionError("no degree-(1,2) fold pair exists; unexpected for max degree 2")
-    folded, fold_map = fold_vertex(f1, *pair)
-    if len(folded.edges) <= 2:
-        target, hom = _into_apex_target(folded)
-        return target, fold_map.then(hom)
-    if min_positive_degree(folded) >= 2:
-        if max_degree(folded) != 3:
-            raise AssertionError("fold did not create a degree-3 vertex")
-        return folded, fold_map
-    target, rest = reduce_to_max_degree3(folded)
-    return target, fold_map.then(rest)
+    current, composed = f1, VertexMap.identity(f1.n)
+    if max_degree(f1) == 2:
+        pair = _claim_pair(f1)
+        if pair is None:
+            raise AssertionError("no degree-(1,2) fold pair exists; unexpected for max degree 2")
+        current, composed = fold_vertex(f1, *pair)
+    if len(current.edges) == 3 and min_positive_degree(current) == 1 and max_degree(current) == 3:
+        trace = reduce_to_core(current)
+        current, composed = trace.terminal, composed.then(trace.map)
+    if len(current.edges) == 3 and min_positive_degree(current) >= 2:
+        if max_degree(current) != 3:
+            raise AssertionError("reduction reached minimum degree 2 without a degree-3 vertex")
+        return current, composed
+    target = suspension(expanded_triangle(1), r)
+    hom = find_homomorphism(current, target)
+    if hom is None:
+        raise AssertionError(
+            f"no homomorphism from {current.edge_vertex_lists()} onto the apex target"
+        )
+    return target, composed.then(hom)

@@ -358,20 +358,24 @@ def _reusable(rec: SolveRecord) -> bool:
 class ResultCache:
     """Append-only JSONL store of solve records.
 
-    One self-contained JSON object per line. The file is loaded once per
+    One rule for the line format, kept by the reader and the writer: a
+    record is a line that ends in a newline. The file is loaded once per
     ResultCache: each records() or lookup() call stats it and decodes only
-    the bytes appended since the previous call, so appends by other writers
-    are seen on the next call. A file that was replaced (a new device and
-    inode), shrank or disappeared is read again from the start; rewriting
-    it in place without shrinking it is not detected. Readers ignore a
-    trailing partial record, so a crashed or in-progress append never
-    poisons the file; any earlier malformed line raises, and so does any
-    record whose optimum is not the size of its witness (solve_exact never
-    writes one). Once a corrupt line is found, every later call raises it
-    until the file is replaced, truncated or removed. append writes each record with a single
-    write on an O_APPEND descriptor, so concurrent writers never interleave
-    within a line. solve_family checks every hit's witness against the
-    requested pattern.
+    the lines completed since the previous call, so appends by other
+    writers are seen on the next call. The bytes after the last newline are
+    an append in progress: they are not decoded, and they are read again on
+    the next call. A file that was replaced (a new device and inode), shrank
+    or disappeared is read again from the start; rewriting it in place
+    without shrinking it is not detected. Blank lines are skipped. Every
+    other line must decode to a record whose optimum is the size of its
+    witness (solve_exact never writes another); otherwise it is a corrupt
+    line, and every later call raises it until the file is replaced,
+    truncated or removed. append writes each record with a single write on
+    an O_APPEND descriptor, so concurrent writers never interleave within a
+    line, and starts it with a newline when the file does not end in one, so
+    a record never lands on another line (the partial line of an append that
+    died part way becomes a corrupt line). solve_family checks every hit's
+    witness against the requested pattern.
     """
 
     def __init__(self, path: str):
@@ -380,13 +384,11 @@ class ResultCache:
 
     def _reset(self, file_id: Optional[tuple[int, int]]) -> None:
         self._file_id = file_id
-        self._size = 0  # file size at the last read
-        self._offset = 0  # bytes in settled lines, which later bytes cannot change
-        self._lines = 0  # number of settled lines
-        self._settled: list[SolveRecord] = []
-        # (profile, n) -> the last proved current-version settled record
+        self._offset = 0  # bytes in the lines read so far, up to a newline
+        self._lines = 0  # number of lines read so far
+        self._records: list[SolveRecord] = []
+        # (profile, n) -> the last proved record of the current version
         self._index: dict[tuple[tuple[int, ...], int], SolveRecord] = {}
-        self._tail: list[SolveRecord] = []  # records after the settled lines
         self._error: Optional[str] = None
 
     def _refresh(self) -> None:
@@ -397,66 +399,50 @@ class ResultCache:
         with open(self.path, "rb") as fh:
             st = os.fstat(fh.fileno())
             file_id = (st.st_dev, st.st_ino)
-            if file_id != self._file_id or st.st_size < self._size:
+            if file_id != self._file_id or st.st_size < self._offset:
                 self._reset(file_id)
-            if self._error is None and st.st_size != self._size:
+            if self._error is None and st.st_size > self._offset:
                 fh.seek(self._offset)
-                self._read(fh.read())
+                data = fh.read()
+                self._read(data[: data.rfind(b"\n") + 1])
         if self._error is not None:
             raise ValueError(self._error)
 
     def _read(self, data: bytes) -> None:
-        """Decode the bytes from the first unsettled line to the end of file.
-
-        A line is settled once it ends in a newline and decodes; the last
-        line of the file is an append in progress when it does not decode,
-        so it is decoded again, with whatever follows it, on the next read.
-        """
-        cut = data.rfind(b"\n") + 1
-        complete = data[:cut].decode("utf-8").splitlines(keepends=True)
-        lines = complete + data[cut:].decode("utf-8").splitlines()
-        end = self._offset + len(data)
-        first = self._lines + 1
-        self._tail = []
-        for i, line in enumerate(lines):
-            rec = None
-            if line.strip():
-                try:
-                    rec = SolveRecord.from_json_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError):
-                    if i == len(lines) - 1:
-                        break  # append in progress
-                if rec is None or rec.optimum != len(rec.witness):
-                    self._error = f"corrupt cache line {first + i} in {self.path}"
-                    return
-            if i < len(complete):
-                self._offset += len(line.encode("utf-8"))
-                self._lines += 1
-                if rec is not None:
-                    self._settled.append(rec)
-                    if _reusable(rec):
-                        self._index[rec.family_profile, rec.n] = rec
-            elif rec is not None:
-                self._tail.append(rec)
-        self._size = end
+        """Decode the newline-terminated lines that make up data."""
+        lines = data.split(b"\n")[:-1]
+        for i, line in enumerate(lines, start=self._lines + 1):
+            if not line.strip():
+                continue
+            try:
+                rec = SolveRecord.from_json_dict(json.loads(line))
+                if rec.optimum != len(rec.witness):
+                    raise ValueError("optimum is not the witness size")
+                if _reusable(rec):
+                    self._index[rec.family_profile, rec.n] = rec
+            except (TypeError, ValueError, KeyError):
+                self._error = f"corrupt cache line {i} in {self.path}"
+                return
+            self._records.append(rec)
+        self._offset += len(data)
+        self._lines += len(lines)
 
     def records(self) -> list[SolveRecord]:
         self._refresh()
-        return self._settled + self._tail
+        return list(self._records)
 
     def lookup(self, profile: tuple[int, ...], n: int) -> Optional[SolveRecord]:
         """The last proved record of the current version for (profile, n)."""
         self._refresh()
-        key = (tuple(profile), n)
-        for rec in reversed(self._tail):
-            if (rec.family_profile, rec.n) == key and _reusable(rec):
-                return rec
-        return self._index.get(key)
+        return self._index.get((tuple(profile), n))
 
     def append(self, record: SolveRecord) -> None:
         line = (json.dumps(record.to_json_dict(), separators=(",", ":")) + "\n").encode("utf-8")
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                line = b"\n" + line  # end the line an earlier write left open
             written = os.write(fd, line)
         finally:
             os.close(fd)

@@ -171,6 +171,29 @@ class TestSolveAndDensity:
         assert code == 1 and out == ""
         assert err.startswith("error: corrupt cache line 1")
 
+    @pytest.mark.parametrize("bad", ["[1, 2]", '"text"', '{"x": 1}'])
+    def test_non_record_cache_line_rejected(self, capsys, tmp_path, bad):
+        cache = tmp_path / "c.jsonl"
+        run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")
+        with open(cache, "a", encoding="utf-8") as fh:
+            fh.write(bad + "\n")
+        code, out, err = run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")
+        assert code == 1 and out == ""
+        assert err == f"error: corrupt cache line 2 in {cache}\n"
+
+    def test_record_left_without_its_newline_kept(self, capsys, tmp_path):
+        # The next append ends the unterminated line, so the n=5 record is
+        # still served after other records are appended.
+        cache = tmp_path / "c.jsonl"
+        solve = ("--cache", str(cache), "solve", "--family", "triangle", "--n")
+        assert run(capsys, *solve, "5")[0] == 0
+        cache.write_bytes(cache.read_bytes().rstrip(b"\n"))
+        for n in ("6", "4"):
+            assert run(capsys, *solve, n)[0] == 0
+        code, out, _ = run(capsys, *solve, "5")
+        assert code == 0 and "optimum=6" in out
+        assert len(cache.read_text().splitlines()) == 3
+
     def test_cached_witness_containing_the_pattern_rejected(self, capsys, tmp_path):
         # One edge added to the cached witness closes a triangle; the optimum
         # is raised to match, so only the hit check can catch it.
@@ -352,6 +375,19 @@ class TestReduceHomStability:
             assert code == 0
             assert "heavy vertices (threshold 0): [0, 1, 2, 3, 4, 5]" in out
             assert err == "warning: threshold 0 selects every vertex\n"
+
+    @pytest.mark.parametrize("threshold", ["0", "2"])
+    def test_stability_threshold_with_scan_links_rejected(self, capsys, tmp_path, threshold):
+        from turankit import Partition, odd_bipartite
+
+        hat = suspension(odd_bipartite(Partition.from_part1(5, [0]), 2), 3)
+        source = tmp_path / "s.hg"
+        source.write_text(format_hypergraph(hat))
+        code, out, err = run(
+            capsys, "stability", "--input", str(source), "--threshold", threshold, "--scan-links"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: --threshold applies without --scan-links only\n"
 
     def test_stability_balanced_flag(self, capsys, tmp_path):
         from turankit import Partition, odd_bipartite

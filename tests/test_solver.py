@@ -452,30 +452,68 @@ class TestCache:
         assert cache.records() == [first, second]
         assert cache.lookup(second.family_profile, 6) == second
 
-    def test_unterminated_last_line_reread(self, tmp_path):
-        # A complete record without its newline counts now, and the line it
-        # is on is read again once more bytes arrive.
+    def test_unterminated_last_line_waits_for_its_newline(self, tmp_path):
+        # A record is a line that ends in a newline: a complete record on the
+        # last line is not read until its newline arrives.
         path = tmp_path / "cache.jsonl"
         cache = ResultCache(str(path))
         record = solve_exact(forbidden_triples(K3, 5, "triangle"))
         path.write_text(json.dumps(record.to_json_dict()))
-        assert cache.lookup(record.family_profile, 5) == record
+        assert cache.lookup(record.family_profile, 5) is None
+        assert cache.records() == []
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("garbage\n" + json.dumps(record.to_json_dict()) + "\n")
         with pytest.raises(ValueError, match="corrupt cache line 1"):
             cache.records()
 
-    def test_undecodable_last_line_is_corrupt_once_followed(self, tmp_path):
+    def test_undecodable_complete_line_is_corrupt(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ResultCache(str(path))
         record = solve_exact(forbidden_triples(K3, 5, "triangle"))
         cache.append(record)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not json\n")
-        assert cache.records() == [record]
-        cache.append(record)
         with pytest.raises(ValueError, match="corrupt cache line 2"):
             cache.records()
+
+    @pytest.mark.parametrize("last", [False, True])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "[1, 2]",
+            '"text"',
+            '{"x": 1}',
+            # a witness edge of letters, and a profile of lists (unhashable)
+            '{"family_profile":[0,0,0,1,1,1,0],"family_name":"","n":3,"r":2,"optimum":1,'
+            '"status":"proved-optimal","witness":["ab"],"nodes":1,"millis":0,"version":"1"}',
+            '{"family_profile":[[0],[1]],"family_name":"","n":3,"r":2,"optimum":1,'
+            '"status":"proved-optimal","witness":[[0,1]],"nodes":1,"millis":0,"version":"1"}',
+        ],
+        ids=["list", "string", "keyless", "letter-edge", "list-profile"],
+    )
+    def test_non_record_line_is_corrupt(self, tmp_path, bad, last):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        record = solve_exact(forbidden_triples(K3, 5, "triangle"))
+        good = json.dumps(record.to_json_dict())
+        path.write_text("\n".join([good, good, bad] if last else [good, bad, good]) + "\n")
+        with pytest.raises(ValueError, match=f"corrupt cache line {3 if last else 2} in {path}"):
+            cache.records()
+        with pytest.raises(ValueError, match="corrupt cache line"):
+            solve_family(K3, 5, cache=cache)
+
+    def test_append_ends_an_unterminated_line(self, tmp_path):
+        # A record left without its newline is kept: the next append starts
+        # on a fresh line instead of gluing onto it.
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        five = solve_exact(forbidden_triples(K3, 5, "triangle"))
+        six = solve_exact(forbidden_triples(K3, 6, "triangle"))
+        cache.append(five)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        cache.append(six)
+        assert cache.records() == [five, six]
+        assert ResultCache(str(path)).lookup(five.family_profile, 5) == five
 
     def test_corrupt_line_in_later_read_keeps_absolute_number(self, tmp_path):
         path = tmp_path / "cache.jsonl"
