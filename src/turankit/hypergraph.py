@@ -374,52 +374,51 @@ def is_isomorphic(f1: Hypergraph, f2: Hypergraph) -> bool:
 def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
     """Yield the 3-subsets of h's edges forming a copy of the three-edge f.
 
-    Triples are yielded as ascending edge bit vectors. Empty output means h
-    is f-free. Isolated vertices are ignored when matching.
+    Triples are yielded as ascending edge bit vectors, in lexicographic order.
+    Empty output means h is f-free. Isolated vertices are ignored when
+    matching.
+
+    For r-sets e1, e2, e3 the intersection sizes (|e1∩e2|, |e1∩e3|, |e2∩e3|,
+    |e1∩e2∩e3|) fix all seven region counts, so a host triple is a copy
+    exactly when its sizes equal f's under one of the six edge orders.
     """
     if len(f.edges) != 3:
         raise ValueError(f"pattern must have exactly 3 edges, got {len(f.edges)}")
     if f.r != h.r:
         raise ValueError(f"uniformity mismatch: pattern r={f.r}, host r={h.r}")
-    target = canonical_regions(*f.edges)
-    a1, a2, a3, a12, a13, a23, a123 = target
-    pair_sizes = {a12 + a123, a13 + a123, a23 + a123}
-    support = f.support_size
+    shapes = {
+        ((a & b).bit_count(), (a & c).bit_count(), (b & c).bit_count(), (a & b & c).bit_count())
+        for a, b, c in itertools.permutations(f.edges)
+    }
     edges = h.edges
     m = len(edges)
     half = f.r // 2
-    if a1 == a2 == a3 == a123 == 0 and f.r % 2 == 0:
+    if f.r % 2 == 0 and shapes == {(half, half, half, 0)}:
         # Pairwise intersections of size r/2 and no triple region: the third
-        # edge is forced to be the symmetric difference of the other two.
+        # edge is the symmetric difference of the other two, so each copy is
+        # found once, from its two smallest edges.
         edge_set = set(edges)
-        seen = set()
         for i in range(m):
             ei = edges[i]
             for j in range(i + 1, m):
                 ej = edges[j]
-                if (ei & ej).bit_count() != half:
-                    continue
                 third = ei ^ ej
-                if third in edge_set:
-                    triple = tuple(sorted((ei, ej, third)))
-                    if triple not in seen:
-                        seen.add(triple)
-                        yield triple
+                if (ei & ej).bit_count() == half and third > ej and third in edge_set:
+                    yield (ei, ej, third)
         return
+    # |e1∩e3| values that some shape allows after each |e1∩e2|.
+    follow = {s12: {s[1] for s in shapes if s[0] == s12} for s12, _, _, _ in shapes}
     for i in range(m):
         ei = edges[i]
         for j in range(i + 1, m):
             ej = edges[j]
-            if (ei & ej).bit_count() not in pair_sizes:
+            eij = ei & ej
+            s12 = eij.bit_count()
+            allowed = follow.get(s12)
+            if allowed is None:
                 continue
             for k in range(j + 1, m):
                 ek = edges[k]
-                if (ei & ek).bit_count() not in pair_sizes:
-                    continue
-                if (ej & ek).bit_count() not in pair_sizes:
-                    continue
-                if (ei | ej | ek).bit_count() != support:
-                    continue
-                if canonical_regions(ei, ej, ek) == target:
+                s13 = (ei & ek).bit_count()
+                if s13 in allowed and (s12, s13, (ej & ek).bit_count(), (eij & ek).bit_count()) in shapes:
                     yield (ei, ej, ek)
-

@@ -134,15 +134,12 @@ def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSys
     complete = complete_rgraph(n, r) if n >= r else Hypergraph(n, r, ())
     ground = complete.edges
     profile = canonical_regions(*f.edges)
-    if n < f.support_size or not ground:
+    if n < f.support_size:
         return TripleSystem(n, r, ground, (), profile, family_name)
+    # The ground is ascending and copies_of yields ascending triples in
+    # lexicographic order, so the index triples come out sorted.
     index = {mask: i for i, mask in enumerate(ground)}
-    conflicts = tuple(
-        sorted(
-            tuple(sorted(index[mask] for mask in triple))
-            for triple in copies_of(f, complete)
-        )
-    )
+    conflicts = tuple((index[a], index[b], index[c]) for a, b, c in copies_of(f, complete))
     return TripleSystem(n, r, ground, conflicts, profile, family_name)
 
 
@@ -585,12 +582,10 @@ def export_cnf(system: TripleSystem, at_least: Optional[int] = None) -> str:
 def _at_most_k_sequential(literals: list[int], k: int, next_var: int) -> tuple[list[tuple[int, ...]], int]:
     """Sinz sequential-counter clauses for at-most-k over the given literals.
 
-    Returns (clauses, highest variable number used). k = 0 degenerates to
-    unit clauses negating every literal.
+    Needs k < len(literals). Returns (clauses, highest variable number used).
+    k = 0 degenerates to unit clauses negating every literal.
     """
     n = len(literals)
-    if k >= n:
-        return [], next_var - 1
     if k == 0:
         return [(-lit,) for lit in literals], next_var - 1
     # s[i][j] (1-based j <= k): the count among the first i+1 literals is >= j

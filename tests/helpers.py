@@ -26,16 +26,24 @@ def subset_scan_optimum(system) -> int:
 
 
 def permutation_isomorphic(f1: Hypergraph, f2: Hypergraph) -> bool:
-    """Isomorphism by trying every injection between the supports."""
+    """Isomorphism by trying every degree-preserving bijection between the
+    supports. An isomorphism preserves degrees, so none is skipped."""
     sup1 = edge_vertices(f1.support_mask)
     sup2 = edge_vertices(f2.support_mask)
     if f1.r != f2.r and f1.edges and f2.edges:
         return False
     if len(sup1) != len(sup2) or len(f1.edges) != len(f2.edges):
         return False
+    degs1, degs2 = f1.degrees(), f2.degrees()
+    levels = sorted({degs1[v] for v in sup1})
+    groups1 = [[v for v in sup1 if degs1[v] == d] for d in levels]
+    groups2 = [[w for w in sup2 if degs2[w] == d] for d in levels]
+    if [len(g) for g in groups1] != [len(g) for g in groups2]:
+        return False
+    domain = list(itertools.chain.from_iterable(groups1))
     edges2 = set(f2.edges)
-    for images in itertools.permutations(sup2):
-        phi = dict(zip(sup1, images))
+    for parts in itertools.product(*(itertools.permutations(g) for g in groups2)):
+        phi = dict(zip(domain, itertools.chain.from_iterable(parts)))
         if all(edge_mask(phi[v] for v in edge_vertices(e)) in edges2 for e in f1.edges):
             return True
     return False

@@ -1,16 +1,23 @@
 """End-to-end command-line tests against module-level outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import turankit
 from turankit import (
+    Partition,
     expanded_triangle,
     export_cnf,
     forbidden_triples,
     format_hypergraph,
     link,
     make_hypergraph,
+    odd_bipartite,
     parse_hypergraph,
     solve_exact,
     suspension,
@@ -51,6 +58,24 @@ class TestConstruct:
         )
         assert code == 0
         assert parse_hypergraph(out) == suspension(expanded_triangle(1), 3)
+
+    @pytest.mark.parametrize("part_flags", [("--part1", "0,1"), ("--part1-size", "2")])
+    def test_odd_bipartite_given_part(self, capsys, part_flags):
+        code, out, _ = run(
+            capsys, "construct", "--family", "odd-bipartite", "--n", "6", "--k", "2", *part_flags
+        )
+        assert code == 0
+        assert parse_hypergraph(out) == odd_bipartite(Partition(6, 0b11), 4)
+
+    def test_odd_bipartite_needs_a_part(self, capsys):
+        code, out, err = run(capsys, "construct", "--family", "odd-bipartite", "--n", "6", "--k", "2")
+        assert code == 1 and out == ""
+        assert "needs --best, --part1, or --part1-size" in err
+
+    def test_suspension_needs_input(self, capsys):
+        code, out, err = run(capsys, "construct", "--family", "suspension", "--r", "3")
+        assert code == 1 and out == ""
+        assert "--input" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.hg"
@@ -110,6 +135,15 @@ class TestSolveAndDensity:
             "solve", "--family", str(fam), "--n", "5",
         )
         assert code == 0 and "optimum=6" in out
+
+    @pytest.mark.parametrize("i,n,bound", [("1", "6", "1/5"), ("2", "7", "152/499")])
+    def test_flag_algebra_reference_line(self, capsys, tmp_path, i, n, bound):
+        code, out, _ = run(
+            capsys, "--cache", str(tmp_path / "c.jsonl"),
+            "solve", "--family", "suspended-expanded-triangle", "--i", i, "--r", "5", "--n", n,
+        )
+        assert code == 0
+        assert f"reference: {bound} flag-algebra bound (asymptotic reference, not asserted)" in out
 
     def test_budget_exhaustion_exit_code(self, capsys, tmp_path):
         code, out, _ = run(
@@ -488,6 +522,20 @@ class TestErrors:
             assert flag in err
         for flag in supplied[::2]:
             assert flag not in err
+
+    def test_closed_stdout_pipe_exits_one_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(turankit.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "turankit.cli", "classify", "--r", "8"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
     def test_unknown_family(self, capsys, tmp_path):
         code, _, err = run(

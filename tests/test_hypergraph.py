@@ -14,6 +14,7 @@ from turankit import (
     copies_of,
     edge_mask,
     edge_vertices,
+    enumerate_three_edge,
     expanded_triangle,
     find_isomorphism,
     format_hypergraph,
@@ -241,18 +242,15 @@ class TestCopies:
             assert len(list(copies_of(f, f))) == 1
 
     def test_agrees_with_brute_force(self):
+        # Every class for r=2..4; a class whose support exceeds the host's n
+        # checks that no false copy is reported.
         rng = random.Random(5)
-        t4 = expanded_triangle(2)
-        for _ in range(6):
-            h = random_hypergraph(rng, 7, 4, density=0.35)
-            if len(h.edges) < 3:
-                continue
-            assert sorted(copies_of(t4, h)) == sorted(brute_force_copies(t4, h))
-        for _ in range(6):
-            h = random_hypergraph(rng, 6, 3, density=0.45)
-            if len(h.edges) < 3:
-                continue
-            assert sorted(copies_of(K4_MINUS, h)) == sorted(brute_force_copies(K4_MINUS, h))
+        cases = [(expanded_triangle(2), 7, 0.35)] * 6 + [(K4_MINUS, 6, 0.45)] * 6
+        for r, n, density in ((2, 6, 0.5), (3, 8, 0.25), (4, 8, 0.25)):
+            cases += [(entry.representative, n, density) for entry in enumerate_three_edge(r).entries]
+        for f, n, density in cases:
+            h = random_hypergraph(rng, n, f.r, density)
+            assert list(copies_of(f, h)) == sorted(brute_force_copies(f, h))
 
     def test_uniformity_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
