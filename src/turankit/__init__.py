@@ -67,7 +67,6 @@ from .solver import (
 )
 from .stability import (
     DeviationReport,
-    LinkPartitionRow,
     LinkPartitionScan,
     best_partition,
     deviation,

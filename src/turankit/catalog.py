@@ -13,11 +13,11 @@ from typing import Optional
 
 from .constructions import expanded_triangle, suspension
 from .hypergraph import (
+    MAX_VERTICES,
     Hypergraph,
     RegionProfile,
     canonical_profile,
     canonical_regions,
-    edge_mask,
     from_masks,
     max_degree,
     min_positive_degree,
@@ -82,8 +82,9 @@ def _canonical_profiles(r: int) -> list[tuple[int, ...]]:
 
 def suspension_width(profile: tuple[int, ...], r: int) -> Optional[int]:
     """Width i such that the class with this canonical region profile is the
-    r-suspension of the width-i expanded triangle; None if there is none."""
-    for i in range(1, r // 2 + 1):
+    r-suspension of the width-i expanded triangle; None if there is none.
+    Widths with r + i > MAX_VERTICES are skipped: no hypergraph has them."""
+    for i in range(1, min(r // 2, MAX_VERTICES - r) + 1):
         if canonical_regions(*suspension(expanded_triangle(i), r).edges) == tuple(profile):
             return i
     return None
@@ -92,17 +93,14 @@ def suspension_width(profile: tuple[int, ...], r: int) -> Optional[int]:
 def realize_profile(profile: tuple[int, ...], r: int) -> Hypergraph:
     """Concrete hypergraph with the given region counts, using contiguous
     index blocks per region in the order (1, 2, 3, 12, 13, 23, 123)."""
-    a1, a2, a3, a12, a13, a23, a123 = profile
-    sizes = (a1, a2, a3, a12, a13, a23, a123)
-    starts = []
-    total = 0
-    for s in sizes:
-        starts.append(total)
-        total += s
-    blocks = [edge_mask(range(starts[i], starts[i] + sizes[i])) for i in range(7)]
-    e1 = blocks[0] | blocks[3] | blocks[4] | blocks[6]
-    e2 = blocks[1] | blocks[3] | blocks[5] | blocks[6]
-    e3 = blocks[2] | blocks[4] | blocks[5] | blocks[6]
+    blocks, total = [], 0
+    for size in profile:
+        blocks.append(((1 << size) - 1) << total)
+        total += size
+    b1, b2, b3, b12, b13, b23, b123 = blocks
+    e1 = b1 | b12 | b13 | b123
+    e2 = b2 | b12 | b23 | b123
+    e3 = b3 | b13 | b23 | b123
     return from_masks(total, r, (e1, e2, e3))
 
 

@@ -180,8 +180,6 @@ def cmd_construct(args) -> int:
     elif family == "complete":
         _require(args, family, "n", "r")
         h = complete_rgraph(args.n, args.r)
-    else:
-        raise UsageError(f"unknown construct family {family!r}")
     _write_output(format_hypergraph(h), args.output)
     return 0
 
@@ -284,9 +282,9 @@ def _solve_range(args, n_values: list[int]) -> tuple[str, list[SolveRecord]]:
     nodes = _budget(args.budget_nodes, ENV_BUDGET_NODES, int)
     secs = _budget(args.budget_secs, ENV_BUDGET_SECS, float)
     seeds = {}
-    k = f.r // 2
-    if (args.seed_construction and f.r % 2 == 0
-            and canonical_regions(*f.edges) == (0, 0, 0, k, k, k, 0)):
+    # An expanded triangle is its own r-suspension, of width r/2.
+    if (args.seed_construction and len(f.edges) == 3
+            and suspension_width(canonical_regions(*f.edges), f.r) == f.r / 2):
         seeds = {n: max_odd_bipartite(n, f.r)[1] for n in n_values if n >= f.r}
     records = density_sequence(
         f,
@@ -371,13 +369,13 @@ def cmd_stability(args) -> int:
         scan = link_partition_scan(h, balanced_only=args.balanced)
         rows = [
             {
-                "vertex": row.vertex,
-                "part1": ",".join(map(str, row.partition.part1_vertices())),
-                "bad": row.bad,
-                "missing": row.missing,
-                "total": row.total,
+                "vertex": x,
+                "part1": ",".join(map(str, report.partition.part1_vertices())),
+                "bad": report.bad,
+                "missing": report.missing,
+                "total": report.total,
             }
-            for row in scan.rows
+            for x, report in enumerate(scan.rows)
         ]
         payload = {
             "rows": rows,

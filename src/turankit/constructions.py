@@ -91,12 +91,8 @@ def odd_bipartite(partition: Partition, uniformity: int) -> Hypergraph:
     if n < uniformity:
         raise ValueError(f"need at least {uniformity} vertices, got {n}")
     p1 = partition.part1
-    masks = []
-    for combo in itertools.combinations(range(n), uniformity):
-        e = edge_mask(combo)
-        if (e & p1).bit_count() % 2:
-            masks.append(e)
-    return from_masks(n, uniformity, masks)
+    complete = complete_rgraph(n, uniformity).edges  # ascending, so the filter is too
+    return Hypergraph(n, uniformity, tuple(e for e in complete if (e & p1).bit_count() % 2))
 
 
 def odd_bipartite_count(n: int, part1_size: int, uniformity: int) -> int:

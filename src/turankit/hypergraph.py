@@ -58,9 +58,6 @@ class Hypergraph:
                 raise ValueError(f"edge {edge_vertices(e)} does not have exactly {self.r} vertices")
             prev = e
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
     def degrees(self) -> list[int]:
         degs = [0] * self.n
         for e in self.edges:
@@ -187,16 +184,10 @@ class VertexMap:
             if not 0 <= w < self.codomain_size:
                 raise ValueError(f"image {w} outside 0..{self.codomain_size - 1}")
 
-    def apply_mask(self, mask: int) -> int:
-        out = 0
-        for v in edge_vertices(mask):
-            out |= 1 << self.images[v]
-        return out
-
     def is_homomorphism(self, source: Hypergraph, target: Hypergraph) -> bool:
         """True when the image of every source edge is an edge of the target."""
-        target_edges = target.edge_set()
-        return all(self.apply_mask(e) in target_edges for e in source.edges)
+        target_edges, images = target.edge_set(), self.images
+        return all(edge_mask(images[v] for v in edge_vertices(e)) in target_edges for e in source.edges)
 
     def then(self, after: "VertexMap") -> "VertexMap":
         """Composition: first apply this map, then `after`."""
@@ -299,43 +290,30 @@ def _edge_map_search(
     order = list(candidates.items())
     edges2 = f2.edges
     incident = [[i for i, e in enumerate(f1.edges) if e >> v & 1] for v, _ in order]
-    img_mask = [0] * len(f1.edges)
-    assignment: dict[int, int] = {}
-    used = 0
 
-    def place(idx: int) -> bool:
-        nonlocal used
+    def place(idx: int, images: list[int], used: int) -> Optional[dict[int, int]]:
+        # Each candidate extends a copy of the partial edge images: no undo.
         if idx == len(order):
-            return True
+            return {}
         v, ws = order[idx]
         for w in ws:
             wb = 1 << w
             if injective and used & wb:
                 continue
-            ok = True
-            touched = []
+            extended = images.copy()
             for ei in incident[idx]:
-                im = img_mask[ei]
-                if im & wb:
-                    ok = False  # would collapse two vertices of one edge
+                im = extended[ei] | wb
+                # w already in the image would collapse two vertices of one edge
+                if extended[ei] & wb or not any(im & e == im for e in edges2):
                     break
-                im |= wb
-                img_mask[ei] = im
-                touched.append(ei)
-                if not any(im & e == im for e in edges2):
-                    ok = False
-                    break
-            if ok:
-                used |= wb
-                assignment[v] = w
-                if place(idx + 1):
-                    return True
-                used &= ~wb
-            for ei in touched:
-                img_mask[ei] &= ~wb
-        return False
+                extended[ei] = im
+            else:
+                found = place(idx + 1, extended, used | wb)
+                if found is not None:
+                    return {v: w, **found}
+        return None
 
-    return assignment if place(0) else None
+    return place(0, [0] * len(f1.edges), 0)
 
 
 def find_isomorphism(f1: Hypergraph, f2: Hypergraph) -> Optional[dict[int, int]]:

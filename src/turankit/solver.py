@@ -113,7 +113,7 @@ class SolveRecord:
             n=obj["n"],
             r=obj["r"],
             optimum=obj["optimum"],
-            witness=tuple(sorted(edge_mask(vs) for vs in obj["witness"])),
+            witness=tuple(sorted({edge_mask(vs) for vs in obj["witness"]})),
             status=obj["status"],
             nodes=obj["nodes"],
             millis=obj["millis"],
@@ -364,7 +364,8 @@ class ResultCache:
     the next call. A file that was replaced (a new device and inode), shrank
     or disappeared is read again from the start; rewriting it in place
     without shrinking it is not detected. Blank lines are skipped. Every
-    other line must decode to a record whose optimum is the size of its
+    other line must decode to a record with int n, r, optimum and profile
+    entries and no repeated witness edge, whose optimum is the size of its
     witness (solve_exact never writes another); otherwise it is a corrupt
     line, and every later call raises it until the file is replaced,
     truncated or removed. append writes each record with a single write on
@@ -412,9 +413,12 @@ class ResultCache:
             if not line.strip():
                 continue
             try:
-                rec = SolveRecord.from_json_dict(json.loads(line))
-                if rec.optimum != len(rec.witness):
-                    raise ValueError("optimum is not the witness size")
+                obj = json.loads(line)
+                rec = SolveRecord.from_json_dict(obj)
+                if {type(rec.n), type(rec.r), type(rec.optimum), *map(type, rec.family_profile)} != {int}:
+                    raise ValueError("n, r, optimum and profile entries must be ints")
+                if not rec.optimum == len(rec.witness) == len(obj["witness"]):
+                    raise ValueError("optimum is not the witness size, or a witness edge repeats")
                 if _reusable(rec):
                     self._index[rec.family_profile, rec.n] = rec
             except (TypeError, ValueError, KeyError):
@@ -464,9 +468,9 @@ def solve_family(
     Budgets are checked before the cache is read, so a bad budget is refused
     whether or not the record is cached. A cached witness that contains a
     copy of f raises ValueError naming the cache file."""
-    profile = canonical_regions(*f.edges) if len(f.edges) == 3 else None
-    if profile is None:
+    if len(f.edges) != 3:
         raise ValueError("forbidden pattern must have exactly 3 edges")
+    profile = canonical_regions(*f.edges)
     _check_budgets(budget_nodes, budget_secs)
     if cache is not None:
         hit = cache.lookup(profile, n)

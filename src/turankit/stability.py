@@ -133,17 +133,10 @@ def heavy_missing_vertices(h: Hypergraph, partition: Partition, threshold: int) 
 
 
 @dataclass(frozen=True)
-class LinkPartitionRow:
-    vertex: int
-    partition: Partition
-    bad: int
-    missing: int
-    total: int
-
-
-@dataclass(frozen=True)
 class LinkPartitionScan:
-    rows: tuple[LinkPartitionRow, ...]
+    """Link scan: rows[x] is the DeviationReport of vertex x's link."""
+
+    rows: tuple[DeviationReport, ...]
     distances: tuple[tuple[int, ...], ...]
     max_distance: int
     mean_distance: float
@@ -152,31 +145,20 @@ class LinkPartitionScan:
 def link_partition_scan(h: Hypergraph, balanced_only: bool = False) -> LinkPartitionScan:
     """Per-vertex stability table for an odd-uniformity hypergraph.
 
-    For each vertex, the best partition of its link (an even-uniformity
-    hypergraph on the same vertex set) with its deviation, plus the full
-    pairwise partition-distance matrix and summary statistics.
+    rows[x] is the DeviationReport of the best partition of x's link (an
+    even-uniformity hypergraph on the same vertex set); the scan adds the
+    full pairwise partition-distance matrix and summary statistics.
     """
     if h.r % 2 == 0 or h.r < 3:
         raise ValueError(f"link scan needs odd uniformity >= 3, got r={h.r}")
-    rows = []
-    for x in range(h.n):
-        part, report = best_partition(link(h, x), balanced_only=balanced_only)
-        rows.append(
-            LinkPartitionRow(
-                vertex=x,
-                partition=part,
-                bad=report.bad,
-                missing=report.missing,
-                total=report.total,
-            )
-        )
+    rows = tuple(best_partition(link(h, x), balanced_only=balanced_only)[1] for x in range(h.n))
     dist = tuple(
         tuple(partition_distance(rows[x].partition, rows[y].partition) for y in range(h.n))
         for x in range(h.n)
     )
     offdiag = [dist[x][y] for x in range(h.n) for y in range(x + 1, h.n)]
     return LinkPartitionScan(
-        rows=tuple(rows),
+        rows=rows,
         distances=dist,
         max_distance=max(offdiag) if offdiag else 0,
         mean_distance=sum(offdiag) / len(offdiag) if offdiag else 0.0,

@@ -20,6 +20,8 @@ from turankit import (
     verify_classification,
 )
 
+from turankit.catalog import suspension_width
+
 from helpers import permutation_isomorphic
 
 
@@ -146,3 +148,14 @@ class TestClassification:
 
         with pytest.raises(RuntimeError, match="classification failed"):
             verify_classification(4, Broken())
+
+
+def test_suspension_width_skips_widths_past_the_vertex_capacity():
+    # Suspending a width-i expanded triangle to r=44 takes 44 + i vertices,
+    # so widths 21 and 22 cannot be built; a class with a degree-one vertex
+    # still gets None, and the width-1 class on 45 vertices is still found.
+    full = (1 << 46) - 1
+    f = from_masks(46, 44, [full & ~0b11, full & ~0b1100, full & ~0b101])
+    assert suspension_width(canonical_regions(*f.edges), 44) is None
+    apex_triangle = suspension(expanded_triangle(1), 44)
+    assert suspension_width(canonical_regions(*apex_triangle.edges), 44) == 1

@@ -15,6 +15,7 @@ from turankit import (
     export_cnf,
     forbidden_triples,
     format_hypergraph,
+    from_masks,
     link,
     make_hypergraph,
     odd_bipartite,
@@ -23,6 +24,15 @@ from turankit import (
     suspension,
 )
 from turankit.cli import main
+
+
+# A proved triangle record for n=6 whose witness is K_{3,3}.
+K33_RECORD = {
+    "family_profile": [0, 0, 0, 1, 1, 1, 0], "family_name": "triangle", "n": 6, "r": 2,
+    "optimum": 9, "status": "proved-optimal",
+    "witness": [[u, v] for u in range(3) for v in range(3, 6)],
+    "nodes": 1, "millis": 0, "version": "1",
+}
 
 
 def run(capsys, *argv):
@@ -136,6 +146,19 @@ class TestSolveAndDensity:
         )
         assert code == 0 and "optimum=6" in out
 
+    @pytest.mark.parametrize("seed", [[], ["--seed-construction"]])
+    def test_solve_pattern_of_uniformity_44(self, capsys, tmp_path, seed):
+        # Three 44-sets on 46 vertices: the wide widths that the reference
+        # lines and the seed check look up need more than 64 vertices.
+        fam = tmp_path / "wide.hg"
+        full = (1 << 46) - 1
+        fam.write_text(format_hypergraph(from_masks(46, 44, [full & ~0b11, full & ~0b1100, full & ~0b101])))
+        code, out, err = run(
+            capsys, "--cache", str(tmp_path / "c.jsonl"),
+            "solve", "--family", str(fam), "--n", "45", *seed,
+        )
+        assert (code, err) == (0, "") and "optimum=45 status=proved-optimal" in out
+
     @pytest.mark.parametrize("i,n,bound", [("1", "6", "1/5"), ("2", "7", "152/499")])
     def test_flag_algebra_reference_line(self, capsys, tmp_path, i, n, bound):
         code, out, _ = run(
@@ -205,7 +228,19 @@ class TestSolveAndDensity:
         assert code == 1 and out == ""
         assert err.startswith("error: corrupt cache line 1")
 
-    @pytest.mark.parametrize("bad", ["[1, 2]", '"text"', '{"x": 1}'])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "[1, 2]",
+            '"text"',
+            '{"x": 1}',
+            # the n=6 triangle optimum K_{3,3}, with one edge listed twice
+            # and the optimum raised to the list length, or with a float n
+            pytest.param(json.dumps(dict(K33_RECORD, optimum=10,
+                                         witness=K33_RECORD["witness"] + [[0, 3]])), id="repeated-edge"),
+            pytest.param(json.dumps(dict(K33_RECORD, n=6.0)), id="float-n"),
+        ],
+    )
     def test_non_record_cache_line_rejected(self, capsys, tmp_path, bad):
         cache = tmp_path / "c.jsonl"
         run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")
@@ -260,6 +295,15 @@ class TestSolveAndDensity:
             "--seed-construction",
         )
         assert code == 0 and "optimum=10" in out
+
+    @pytest.mark.parametrize("r", ["2", "3"])
+    def test_seed_construction_with_two_edge_pattern_rejected(self, capsys, tmp_path, r):
+        code, out, err = run(
+            capsys, "--cache", str(tmp_path / "c.jsonl"),
+            "solve", "--family", "matching", "--r", r, "--m", "2", "--n", "5", "--seed-construction",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: forbidden pattern must have exactly 3 edges\n"
 
     def test_env_budget_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TURANKIT_BUDGET_NODES", "3")

@@ -197,3 +197,21 @@ class TestPartition:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Partition(3, 0b1000)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Partition(65, 1), r"vertex count 65 outside 0\.\.64"),
+        (lambda: expanded_triangle(22), "3k = 66 exceeds the 64-vertex capacity"),
+        (lambda: suspension(K3, 64), "65 vertices exceed the 64-vertex capacity"),
+        (lambda: odd_bipartite(Partition(3, 1), 4), "need at least 4 vertices, got 3"),
+        (lambda: max_odd_bipartite(6, 3), "uniformity must be even and >= 2, got 3"),
+        (lambda: matching(3, -1), "need uniformity >= 1 and a non-negative edge count"),
+    ],
+    ids=["partition-65", "expanded-triangle-22", "suspension-65", "odd-bipartite-small-n",
+         "max-odd-bipartite-odd-r", "matching-negative"],
+)
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

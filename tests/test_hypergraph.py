@@ -274,3 +274,25 @@ class TestVertexMap:
     def test_image_validation(self):
         with pytest.raises(ValueError):
             VertexMap(1, 1, (4,))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Hypergraph(3, 0, ()), "uniformity must be at least 1"),
+        (lambda: Hypergraph(3, 2, (0b110, 0b011)), "edges must be deduplicated and sorted ascending"),
+        (lambda: Hypergraph(3, 2, (0b011, 0b011)), "edges must be deduplicated and sorted ascending"),
+        (lambda: Hypergraph(3, 2, (0b1001,)), r"edge \[0, 3\] uses a vertex outside 0\.\.2"),
+        (lambda: Hypergraph(3, 2, (0b111,)), r"edge \[0, 1, 2\] does not have exactly 2 vertices"),
+        (lambda: parse_hypergraph("# no header\n\n"), "missing header line 'n=<n> r=<r>'"),
+        (lambda: link(K3, 3), r"vertex 3 outside 0\.\.2"),
+        (lambda: VertexMap(3, 3, (0, 1)), "image array length must equal the domain size"),
+        (lambda: VertexMap.identity(3).then(VertexMap.identity(4)),
+         "composition needs matching codomain/domain sizes"),
+    ],
+    ids=["r-zero", "unsorted", "repeated", "vertex-past-n", "wrong-size", "no-header",
+         "link-vertex", "image-count", "then-sizes"],
+)
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -202,3 +202,16 @@ class TestReduceToMaxDegree3:
     def test_min_degree_two_input_rejected(self):
         with pytest.raises(ValueError):
             reduce_to_max_degree3(suspension(K3, 3))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: fold_vertex(matching(2, 3), 6, 0), "fold vertices out of range"),
+        (lambda: reduce_to_max_degree3(matching(3, 2)), "need exactly 3 edges, got 2"),
+    ],
+    ids=["fold-vertex-range", "degree3-two-edges"],
+)
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -488,8 +488,19 @@ class TestCache:
             '"status":"proved-optimal","witness":["ab"],"nodes":1,"millis":0,"version":"1"}',
             '{"family_profile":[[0],[1]],"family_name":"","n":3,"r":2,"optimum":1,'
             '"status":"proved-optimal","witness":[[0,1]],"nodes":1,"millis":0,"version":"1"}',
+            # an edge listed twice with the optimum raised to the list length,
+            # a float n, a float optimum, and a profile given as one string
+            '{"family_profile":[0,0,0,1,1,1,0],"family_name":"","n":3,"r":2,"optimum":2,'
+            '"status":"proved-optimal","witness":[[0,1],[0,1]],"nodes":1,"millis":0,"version":"1"}',
+            '{"family_profile":[0,0,0,1,1,1,0],"family_name":"","n":3.0,"r":2,"optimum":1,'
+            '"status":"proved-optimal","witness":[[0,1]],"nodes":1,"millis":0,"version":"1"}',
+            '{"family_profile":[0,0,0,1,1,1,0],"family_name":"","n":3,"r":2,"optimum":1.0,'
+            '"status":"proved-optimal","witness":[[0,1]],"nodes":1,"millis":0,"version":"1"}',
+            '{"family_profile":"0001110","family_name":"","n":3,"r":2,"optimum":1,'
+            '"status":"proved-optimal","witness":[[0,1]],"nodes":1,"millis":0,"version":"1"}',
         ],
-        ids=["list", "string", "keyless", "letter-edge", "list-profile"],
+        ids=["list", "string", "keyless", "letter-edge", "list-profile", "repeated-edge",
+             "float-n", "float-optimum", "string-profile"],
     )
     def test_non_record_line_is_corrupt(self, tmp_path, bad, last):
         path = tmp_path / "cache.jsonl"
@@ -665,3 +676,17 @@ class TestExportIlp:
             system = forbidden_triples(f, n)
             nvars, triples = parse_lp_maximize(export_ilp(system))
             assert milp_optimum(nvars, triples) == solve_exact(system).optimum
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: forbidden_triples(K3, 65), r"vertex count 65 outside 0\.\.64"),
+        (lambda: solve_exact(forbidden_triples(K3, 4), seed_witness=[0b10001]),
+         r"seed edge \[0, 4\] is not a ground edge"),
+    ],
+    ids=["forbidden-triples-65", "seed-edge-off-ground"],
+)
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -253,7 +253,9 @@ class TestLinkPartitionScan:
         k4m = suspension(expanded_triangle(1), 3)
         record = solve_exact(forbidden_triples(k4m, 7, "k4minus"))
         assert record.optimum == 15 and record.proved_optimal
-        scan = link_partition_scan(record.witness_hypergraph())
+        w = record.witness_hypergraph()
+        scan = link_partition_scan(w)
+        assert all(scan.rows[x] == best_partition(link(w, x))[1] for x in range(w.n))
         assert [row.total for row in scan.rows] == [5] * 7
         assert scan.max_distance == 3
         assert scan.distances[0] == (0, 3, 2, 2, 2, 2, 3)
@@ -272,3 +274,19 @@ class TestAcceptanceShapes:
         assert report.total == 0
         assert part.sizes in ((1, 5), (5, 1))
         assert max_odd_bipartite(6, 4)[2] == 10
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: deviation(complete_rgraph(6, 2), Partition(5, 1)),
+         "partition is over 5 vertices, hypergraph over 6"),
+        (lambda: best_partition(Hypergraph(0, 2, ())), "need at least one vertex"),
+        (lambda: heavy_missing_vertices(complete_rgraph(6, 2), Partition(6, 1), -1),
+         "threshold must be non-negative"),
+    ],
+    ids=["deviation-other-n", "best-partition-empty", "negative-threshold"],
+)
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
