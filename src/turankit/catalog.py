@@ -19,8 +19,6 @@ from .hypergraph import (
     canonical_profile,
     canonical_regions,
     from_masks,
-    max_degree,
-    min_positive_degree,
 )
 
 MIN_UNIFORMITY = 2
@@ -114,14 +112,15 @@ def enumerate_three_edge(r: int) -> ThreeEdgeCatalog:
     entries = []
     for profile in _canonical_profiles(r):
         rep = realize_profile(profile, r)
-        delta = min_positive_degree(rep)
+        degrees = rep.degrees()  # realize_profile leaves no vertex isolated
+        delta = min(degrees)
         index = suspension_width(profile, r) if delta >= 2 else None
         entries.append(
             CatalogEntry(
                 profile=RegionProfile(*profile),
                 representative=rep,
                 min_degree=delta,
-                max_degree=max_degree(rep),
+                max_degree=max(degrees),
                 suspension_index=index,
             )
         )

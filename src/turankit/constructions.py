@@ -131,6 +131,8 @@ def matching(r: int, m: int) -> Hypergraph:
     """m pairwise disjoint r-edges on r*m vertices."""
     if r < 1 or m < 0:
         raise ValueError("need uniformity >= 1 and a non-negative edge count")
+    if r * m > MAX_VERTICES:
+        raise ValueError(f"vertex count {r * m} outside 0..{MAX_VERTICES}")
     block = (1 << r) - 1
     return from_masks(r * m, r, (block << (i * r) for i in range(m)))
 
@@ -139,4 +141,6 @@ def complete_rgraph(n: int, r: int) -> Hypergraph:
     """All C(n, r) possible edges."""
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     return from_masks(n, r, (edge_mask(c) for c in itertools.combinations(range(n), r)))

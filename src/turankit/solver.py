@@ -19,13 +19,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .constructions import complete_rgraph
 from .hypergraph import (
+    MAX_VERTICES,
     Hypergraph,
     canonical_regions,
     copies_of,
@@ -67,15 +68,17 @@ class TripleSystem:
 @dataclass(frozen=True)
 class SolveRecord:
     """Result of one exact computation: the optimum (or best lower bound on
-    budget exhaustion), a verified pattern-free witness, and search stats."""
+    budget exhaustion), a verified pattern-free witness, and search stats.
+
+    The field order is the key order of the JSON object (a cache line)."""
 
     family_profile: tuple[int, ...]
     family_name: str
     n: int
     r: int
     optimum: int
-    witness: tuple[int, ...]
     status: str
+    witness: tuple[int, ...]
     nodes: int
     millis: int
     version: str
@@ -92,33 +95,37 @@ class SolveRecord:
         return Fraction(self.optimum, total) if total else Fraction(0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "family_profile": list(self.family_profile),
-            "family_name": self.family_name,
-            "n": self.n,
-            "r": self.r,
-            "optimum": self.optimum,
-            "status": self.status,
-            "witness": [edge_vertices(e) for e in self.witness],
-            "nodes": self.nodes,
-            "millis": self.millis,
-            "version": self.version,
-        }
+        return dict(
+            vars(self),
+            family_profile=list(self.family_profile),
+            witness=[edge_vertices(e) for e in self.witness],
+        )
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SolveRecord":
-        return cls(
-            family_profile=tuple(obj["family_profile"]),
-            family_name=obj["family_name"],
-            n=obj["n"],
-            r=obj["r"],
-            optimum=obj["optimum"],
-            witness=tuple(sorted({edge_mask(vs) for vs in obj["witness"]})),
-            status=obj["status"],
-            nodes=obj["nodes"],
-            millis=obj["millis"],
-            version=obj["version"],
-        )
+        """Decode a cache line's object, the one check of a record: KeyError,
+        TypeError or ValueError when it is not one. Keys that are not fields
+        are ignored, so a line from a later version still loads."""
+        kw = {key: obj[key] for key in _RECORD_KEYS}
+        profile = kw["family_profile"] = tuple(kw["family_profile"])
+        witness = kw["witness"] = tuple(sorted({edge_mask(vs) for vs in kw["witness"]}))
+        n, r, optimum = kw["n"], kw["r"], kw["optimum"]
+        counts = (n, r, optimum, kw["nodes"], kw["millis"], *profile)
+        if not (
+            len(profile) == 7
+            and set(map(type, counts)) == {int}
+            and min(counts) >= 0 and r >= 1 and n <= MAX_VERTICES
+            and kw["status"] in (STATUS_OPTIMAL, STATUS_LOWER_BOUND)
+            and type(kw["family_name"]) is str and type(kw["version"]) is str
+            and optimum == len(witness) == len(obj["witness"])
+            and not (witness and witness[-1] >> n)  # the largest mask holds the top vertex
+            and {*map(int.bit_count, witness)} <= {r}
+        ):
+            raise ValueError("not a solve record")
+        return cls(**kw)
+
+
+_RECORD_KEYS = tuple(f.name for f in fields(SolveRecord))
 
 
 def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSystem:
@@ -128,8 +135,6 @@ def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSys
     """
     if len(f.edges) != 3:
         raise ValueError(f"forbidden pattern must have exactly 3 edges, got {len(f.edges)}")
-    if n < 0 or n > 64:
-        raise ValueError(f"vertex count {n} outside 0..64")
     r = f.r
     complete = complete_rgraph(n, r) if n >= r else Hypergraph(n, r, ())
     ground = complete.edges
@@ -338,8 +343,8 @@ def solve_exact(
         n=system.n,
         r=system.r,
         optimum=best_val,
-        witness=witness,
         status=status,
+        witness=witness,
         nodes=nodes,
         millis=millis,
         version=SOLVER_VERSION,
@@ -347,10 +352,6 @@ def solve_exact(
 
 
 # -- result cache -----------------------------------------------------------
-
-def _reusable(rec: SolveRecord) -> bool:
-    return rec.version == SOLVER_VERSION and rec.proved_optimal
-
 
 class ResultCache:
     """Append-only JSONL store of solve records.
@@ -364,16 +365,14 @@ class ResultCache:
     the next call. A file that was replaced (a new device and inode), shrank
     or disappeared is read again from the start; rewriting it in place
     without shrinking it is not detected. Blank lines are skipped. Every
-    other line must decode to a record with int n, r, optimum and profile
-    entries and no repeated witness edge, whose optimum is the size of its
-    witness (solve_exact never writes another); otherwise it is a corrupt
-    line, and every later call raises it until the file is replaced,
-    truncated or removed. append writes each record with a single write on
-    an O_APPEND descriptor, so concurrent writers never interleave within a
-    line, and starts it with a newline when the file does not end in one, so
-    a record never lands on another line (the partial line of an append that
-    died part way becomes a corrupt line). solve_family checks every hit's
-    witness against the requested pattern.
+    other line must decode to a record (SolveRecord.from_json_dict);
+    otherwise it is a corrupt line, and every later call raises it until the
+    file is replaced, truncated or removed. append writes each record with a
+    single write on an O_APPEND descriptor, so concurrent writers never
+    interleave within a line, and starts it with a newline when the file
+    does not end in one, so a record never lands on another line (the
+    partial line of an append that died part way becomes a corrupt line).
+    solve_family checks every hit's witness against the requested pattern.
     """
 
     def __init__(self, path: str):
@@ -413,18 +412,13 @@ class ResultCache:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                rec = SolveRecord.from_json_dict(obj)
-                if {type(rec.n), type(rec.r), type(rec.optimum), *map(type, rec.family_profile)} != {int}:
-                    raise ValueError("n, r, optimum and profile entries must be ints")
-                if not rec.optimum == len(rec.witness) == len(obj["witness"]):
-                    raise ValueError("optimum is not the witness size, or a witness edge repeats")
-                if _reusable(rec):
-                    self._index[rec.family_profile, rec.n] = rec
-            except (TypeError, ValueError, KeyError):
+                rec = SolveRecord.from_json_dict(json.loads(line))
+            except (TypeError, ValueError, KeyError, RecursionError):
                 self._error = f"corrupt cache line {i} in {self.path}"
                 return
             self._records.append(rec)
+            if rec.version == SOLVER_VERSION and rec.proved_optimal:
+                self._index[rec.family_profile, rec.n] = rec
         self._offset += len(data)
         self._lines += len(lines)
 

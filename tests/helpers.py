@@ -1,6 +1,7 @@
 """Shared test oracles, deliberately independent of the library's fast paths:
 exhaustive subset scans, permutation-based isomorphism, brute-force copy and
-homomorphism search, and a miniature DPLL solver for CNF checks."""
+homomorphism search, a miniature DPLL solver for CNF checks, and cache
+lines that break one record rule each."""
 
 import itertools
 
@@ -267,3 +268,29 @@ def reference_search(system, seed_mask: int = 0) -> tuple[int, int, tuple[int, .
     dfs(*include(0, 0, 0, 0))
     witness = tuple(system.ground[i] for i in range(m) if best_mask >> i & 1)
     return best_val, nodes, witness
+
+
+# A proved triangle record for n=6 whose witness is K_{3,3}.
+K33_RECORD = {
+    "family_profile": [0, 0, 0, 1, 1, 1, 0], "family_name": "triangle", "n": 6, "r": 2,
+    "optimum": 9, "status": "proved-optimal",
+    "witness": [[u, v] for u in range(3) for v in range(3, 6)],
+    "nodes": 1, "millis": 0, "version": "1",
+}
+
+# K33_RECORD with one record rule broken, and only that one (an empty
+# witness keeps n=-1 and r=0 clear of the witness rules).
+NON_RECORDS = {
+    "string-nodes": dict(K33_RECORD, nodes="many"),
+    "negative-millis": dict(K33_RECORD, millis=-5),
+    "bool-nodes": dict(K33_RECORD, nodes=True),
+    "unknown-status": dict(K33_RECORD, status="done"),
+    "int-name": dict(K33_RECORD, family_name=7),
+    "int-version": dict(K33_RECORD, version=1),
+    "six-entry-profile": dict(K33_RECORD, family_profile=[0, 0, 0, 1, 1, 1]),
+    "negative-n": dict(K33_RECORD, n=-1, optimum=0, witness=[]),
+    "n-65": dict(K33_RECORD, n=65),
+    "r-0": dict(K33_RECORD, r=0, optimum=0, witness=[]),
+    "vertex-outside-n": dict(K33_RECORD, witness=K33_RECORD["witness"][:-1] + [[0, 9]]),
+    "edge-of-3-at-r-2": dict(K33_RECORD, witness=K33_RECORD["witness"][:-1] + [[0, 1, 2]]),
+}

@@ -16,6 +16,8 @@ from turankit import (
     from_masks,
     is_isomorphic,
     make_hypergraph,
+    max_degree,
+    min_positive_degree,
     suspension,
     verify_classification,
 )
@@ -138,6 +140,12 @@ class TestClassification:
         for r in (3, 5, 7):
             for entry in enumerate_three_edge(r).min_degree_two:
                 assert entry.max_degree == 3
+
+    def test_degrees_are_the_representatives_degrees(self):
+        for r in range(2, 9):
+            for entry in enumerate_three_edge(r).entries:
+                assert entry.min_degree == min_positive_degree(entry.representative)
+                assert entry.max_degree == max_degree(entry.representative)
 
     def test_mismatch_raises(self):
         import turankit.catalog as catalog_module

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,14 +26,7 @@ from turankit import (
 )
 from turankit.cli import main
 
-
-# A proved triangle record for n=6 whose witness is K_{3,3}.
-K33_RECORD = {
-    "family_profile": [0, 0, 0, 1, 1, 1, 0], "family_name": "triangle", "n": 6, "r": 2,
-    "optimum": 9, "status": "proved-optimal",
-    "witness": [[u, v] for u in range(3) for v in range(3, 6)],
-    "nodes": 1, "millis": 0, "version": "1",
-}
+from helpers import K33_RECORD, NON_RECORDS
 
 
 def run(capsys, *argv):
@@ -239,16 +233,39 @@ class TestSolveAndDensity:
             pytest.param(json.dumps(dict(K33_RECORD, optimum=10,
                                          witness=K33_RECORD["witness"] + [[0, 3]])), id="repeated-edge"),
             pytest.param(json.dumps(dict(K33_RECORD, n=6.0)), id="float-n"),
+            *(pytest.param(json.dumps(obj), id=name) for name, obj in NON_RECORDS.items()),
         ],
     )
     def test_non_record_cache_line_rejected(self, capsys, tmp_path, bad):
         cache = tmp_path / "c.jsonl"
-        run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")
-        with open(cache, "a", encoding="utf-8") as fh:
-            fh.write(bad + "\n")
+        cache.write_text(bad + "\n")
         code, out, err = run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")
         assert code == 1 and out == ""
-        assert err == f"error: corrupt cache line 2 in {cache}\n"
+        assert err == f"error: corrupt cache line 1 in {cache}\n"
+
+    def test_cache_line_golden(self, capsys, tmp_path):
+        # The line solve writes, millis masked, is fixed byte for byte, and
+        # decoding and re-encoding it gives the same bytes.
+        golden = (
+            '{"family_profile":[0,0,0,1,1,1,0],"family_name":"triangle","n":6,"r":2,'
+            '"optimum":9,"status":"proved-optimal","witness":[[0,1],[0,2],[0,3],[1,4],'
+            '[2,4],[3,4],[1,5],[2,5],[3,5]],"nodes":19,"millis":0,"version":"1"}'
+        )
+        cache = tmp_path / "c.jsonl"
+        run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")
+        line = cache.read_text()
+        assert re.sub(r'"millis":\d+', '"millis":0', line) == golden + "\n"
+        record = turankit.SolveRecord.from_json_dict(json.loads(golden))
+        assert json.dumps(record.to_json_dict(), separators=(",", ":")) == golden
+
+    def test_cache_line_with_an_extra_key_served(self, capsys, tmp_path):
+        # A line from a later version, with a key this one does not know.
+        cache = tmp_path / "c.jsonl"
+        cache.write_text(json.dumps(dict(K33_RECORD, stats={})) + "\n")
+        code, out, err = run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")
+        assert code == 0 and err == ""
+        assert "optimum=9" in out and "nodes=1 " in out
+        assert len(cache.read_text().splitlines()) == 1  # a hit appends nothing
 
     def test_record_left_without_its_newline_kept(self, capsys, tmp_path):
         # The next append ends the unterminated line, so the n=5 record is

@@ -208,9 +208,14 @@ class TestPartition:
         (lambda: odd_bipartite(Partition(3, 1), 4), "need at least 4 vertices, got 3"),
         (lambda: max_odd_bipartite(6, 3), "uniformity must be even and >= 2, got 3"),
         (lambda: matching(3, -1), "need uniformity >= 1 and a non-negative edge count"),
+        # capacity is checked before any edge is built, after the n >= r check
+        (lambda: matching(2, 60000), r"vertex count 120000 outside 0\.\.64"),
+        (lambda: complete_rgraph(65, 6), r"vertex count 65 outside 0\.\.64"),
+        (lambda: complete_rgraph(65, 66), "need n >= r, got n=65, r=66"),
     ],
     ids=["partition-65", "expanded-triangle-22", "suspension-65", "odd-bipartite-small-n",
-         "max-odd-bipartite-odd-r", "matching-negative"],
+         "max-odd-bipartite-odd-r", "matching-negative", "matching-120000",
+         "complete-65", "complete-n-below-r"],
 )
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):

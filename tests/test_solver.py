@@ -38,6 +38,7 @@ from turankit import (
 )
 
 from helpers import (
+    NON_RECORDS,
     dpll_satisfiable,
     milp_optimum,
     parse_dimacs,
@@ -498,9 +499,11 @@ class TestCache:
             '"status":"proved-optimal","witness":[[0,1]],"nodes":1,"millis":0,"version":"1"}',
             '{"family_profile":"0001110","family_name":"","n":3,"r":2,"optimum":1,'
             '"status":"proved-optimal","witness":[[0,1]],"nodes":1,"millis":0,"version":"1"}',
+            *map(json.dumps, NON_RECORDS.values()),
+            "[" * 100_000,  # nested past the decoder's recursion limit
         ],
         ids=["list", "string", "keyless", "letter-edge", "list-profile", "repeated-edge",
-             "float-n", "float-optimum", "string-profile"],
+             "float-n", "float-optimum", "string-profile", *NON_RECORDS, "deep-nesting"],
     )
     def test_non_record_line_is_corrupt(self, tmp_path, bad, last):
         path = tmp_path / "cache.jsonl"
@@ -682,10 +685,11 @@ class TestExportIlp:
     "build, message",
     [
         (lambda: forbidden_triples(K3, 65), r"vertex count 65 outside 0\.\.64"),
+        (lambda: forbidden_triples(K3, -1), r"vertex count -1 outside 0\.\.64"),
         (lambda: solve_exact(forbidden_triples(K3, 4), seed_witness=[0b10001]),
          r"seed edge \[0, 4\] is not a ground edge"),
     ],
-    ids=["forbidden-triples-65", "seed-edge-off-ground"],
+    ids=["forbidden-triples-65", "forbidden-triples-negative", "seed-edge-off-ground"],
 )
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):
