@@ -88,24 +88,23 @@ def from_masks(n: int, r: int, masks: Iterable[int]) -> Hypergraph:
     return Hypergraph(n, r, tuple(sorted(set(masks))))
 
 
-def make_hypergraph(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-    """Build a hypergraph from vertex lists.
+def checked_edge_mask(n: int, r: int, *vertices: int) -> int:
+    """edge_mask of r distinct int vertices of 0..n-1, else ValueError. The
+    checks come before any shift, so no vertex number sets an int's size."""
+    if len({*vertices}) != len(vertices):
+        raise ValueError(f"edge {list(vertices)} repeats a vertex")
+    if len(vertices) != r:
+        raise ValueError(f"edge {list(vertices)} has {len(vertices)} vertices, expected {r}")
+    for v in vertices:
+        if type(v) is not int or not 0 <= v < n:
+            raise ValueError(f"vertex {v!r} outside the integers 0..{n - 1}")
+    return edge_mask(vertices)
 
-    Each listed edge must consist of exactly r distinct vertices in range;
-    duplicate edges are silently merged.
-    """
-    masks = []
-    for edge in edges:
-        vs = list(edge)
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"edge {vs} repeats a vertex")
-        if len(vs) != r:
-            raise ValueError(f"edge {vs} has {len(vs)} vertices, expected {r}")
-        for v in vs:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} outside 0..{n - 1}")
-        masks.append(edge_mask(vs))
-    return from_masks(n, r, masks)
+
+def make_hypergraph(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
+    """Build a hypergraph from vertex lists, each checked by
+    checked_edge_mask; duplicate edges are silently merged."""
+    return from_masks(n, r, (checked_edge_mask(n, r, *edge) for edge in edges))
 
 
 # -- text format ---------------------------------------------------------

@@ -21,6 +21,8 @@ import os
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache, partial
+from itertools import starmap
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -29,8 +31,8 @@ from .hypergraph import (
     MAX_VERTICES,
     Hypergraph,
     canonical_regions,
+    checked_edge_mask,
     copies_of,
-    edge_mask,
     edge_vertices,
     from_masks,
 )
@@ -108,8 +110,7 @@ class SolveRecord:
         are ignored, so a line from a later version still loads."""
         kw = {key: obj[key] for key in _RECORD_KEYS}
         profile = kw["family_profile"] = tuple(kw["family_profile"])
-        witness = kw["witness"] = tuple(sorted({edge_mask(vs) for vs in kw["witness"]}))
-        n, r, optimum = kw["n"], kw["r"], kw["optimum"]
+        n, r, optimum, edges = kw["n"], kw["r"], kw["optimum"], kw["witness"]
         counts = (n, r, optimum, kw["nodes"], kw["millis"], *profile)
         if not (
             len(profile) == 7
@@ -117,15 +118,17 @@ class SolveRecord:
             and min(counts) >= 0 and r >= 1 and n <= MAX_VERTICES
             and kw["status"] in (STATUS_OPTIMAL, STATUS_LOWER_BOUND)
             and type(kw["family_name"]) is str and type(kw["version"]) is str
-            and optimum == len(witness) == len(obj["witness"])
-            and not (witness and witness[-1] >> n)  # the largest mask holds the top vertex
-            and {*map(int.bit_count, witness)} <= {r}
+            and optimum == len(edges)
+            and optimum == len(witness := {*starmap(partial(_edge_mask_memo, n, r), edges)})
         ):
             raise ValueError("not a solve record")
+        kw["witness"] = tuple(sorted(witness))
         return cls(**kw)
 
 
 _RECORD_KEYS = tuple(f.name for f in fields(SolveRecord))
+# Cache lines repeat a few hundred distinct edges. typed: False or 3.0 is not a hit for 0 or 3.
+_edge_mask_memo = lru_cache(maxsize=1 << 12, typed=True)(checked_edge_mask)
 
 
 def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSystem:

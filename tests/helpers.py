@@ -293,4 +293,9 @@ NON_RECORDS = {
     "r-0": dict(K33_RECORD, r=0, optimum=0, witness=[]),
     "vertex-outside-n": dict(K33_RECORD, witness=K33_RECORD["witness"][:-1] + [[0, 9]]),
     "edge-of-3-at-r-2": dict(K33_RECORD, witness=K33_RECORD["witness"][:-1] + [[0, 1, 2]]),
+    "huge-vertex": dict(K33_RECORD, witness=K33_RECORD["witness"][:-1] + [[0, 100_000_000]]),
+    # [2, 5, 5] and [False, 3] name the edges {2, 5} and {0, 3} that they replace
+    "repeated-vertex": dict(K33_RECORD, witness=K33_RECORD["witness"][:-1] + [[2, 5, 5]]),
+    "r-entries-one-vertex": dict(K33_RECORD, witness=K33_RECORD["witness"][:-1] + [[5, 5]]),
+    "bool-vertex": dict(K33_RECORD, witness=[[False, 3]] + K33_RECORD["witness"][1:]),
 }

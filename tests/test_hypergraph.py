@@ -59,9 +59,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="repeats"):
             make_hypergraph(4, 2, [[1, 1]])
 
-    def test_out_of_range_rejected(self):
+    @pytest.mark.parametrize("edge", [[0, 3], [-1, 1], [False, 1], [0.0, 1]])
+    def test_out_of_range_rejected(self, edge):
         with pytest.raises(ValueError, match="outside"):
-            make_hypergraph(3, 2, [[0, 3]])
+            make_hypergraph(3, 2, [edge])
 
     def test_capacity_bound(self):
         with pytest.raises(ValueError, match="outside"):

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -515,6 +516,20 @@ class TestCache:
             cache.records()
         with pytest.raises(ValueError, match="corrupt cache line"):
             solve_family(K3, 5, cache=cache)
+
+    def test_huge_vertex_is_rejected_before_its_mask_is_built(self, tmp_path):
+        # 1 << 100_000_000 alone would take 12.5 MB.
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(NON_RECORDS["huge-vertex"]) + "\n")
+        cache = ResultCache(str(path))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="corrupt cache line 1"):
+                cache.records()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_append_ends_an_unterminated_line(self, tmp_path):
         # A record left without its newline is kept: the next append starts

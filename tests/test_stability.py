@@ -1,6 +1,7 @@
 """Odd-bipartite deviation diagnostics: decompositions, partition scans,
 distances, heavy vertices, and per-link tables."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from turankit import (
     best_partition,
     complete_rgraph,
     deviation,
+    edge_mask,
     expanded_triangle,
     forbidden_triples,
     from_masks,
@@ -135,24 +137,44 @@ class TestBestPartition:
         with pytest.raises(ValueError):
             best_partition(from_masks(25, 2, [0b11]))
 
-    def test_count_path_matches_materialized_path(self):
-        from turankit.stability import _deviation_total
-
+    @pytest.mark.parametrize("balanced_only", [False, True])
+    def test_scan_matches_brute_force(self, balanced_only):
+        # The minimum of (total, part1) over every partition with vertex 0
+        # in part1, each scored by the exact report.
         rng = random.Random(53)
-        for _ in range(25):
-            n = rng.randint(4, 8)
+        for _ in range(40):
+            n = rng.randint(1, 8)
             uniformity = rng.choice([2, 4])
-            if n < uniformity:
-                continue
-            h = toggled(
-                odd_bipartite(Partition(n, rng.randrange(1 << n)), uniformity),
-                [
-                    sum(1 << v for v in rng.sample(range(n), uniformity))
-                    for _ in range(rng.randint(0, 3))
-                ],
+            everything = [edge_mask(c) for c in itertools.combinations(range(n), uniformity)]
+            edges = {e for e in everything if rng.random() < 0.5}
+            if everything and rng.random() < 0.5:  # near an odd-bipartite hypergraph instead
+                planted = odd_bipartite(Partition(n, rng.randrange(1 << n)), uniformity).edges
+                edges = set(planted) ^ set(rng.sample(everything, min(3, len(everything))))
+            h = from_masks(n, uniformity, sorted(edges))
+            sizes = {n // 2, (n + 1) // 2} if balanced_only else range(n + 1)
+            want = min(
+                (deviation(h, Partition(n, part1)).total, part1)
+                for part1 in range(1, 1 << n, 2)
+                if part1.bit_count() in sizes
             )
-            probe = Partition(n, rng.randrange(1 << n))
-            assert _deviation_total(h, probe.part1, n) == deviation(h, probe).total
+            found, report = best_partition(h, balanced_only=balanced_only)
+            assert (report.total, found.part1) == want
+            assert report == deviation(h, found)
+
+    @pytest.mark.parametrize(
+        "edges, balanced_only, smallest",
+        [
+            # The path 0-1-2: part1 = everything (0b11111) and part2 = {1}
+            # (0b11101) both deviate by 2; Gray order meets 0b11111 first.
+            ([[0, 1], [1, 2]], False, 0b11101),
+            # One edge {2, 3}: every balanced split that separates 2 from 3 is
+            # best; Gray order meets {0, 1, 2} before {0, 2}.
+            ([[2, 3]], True, 0b00101),
+        ],
+    )
+    def test_ties_break_to_smallest_part1(self, edges, balanced_only, smallest):
+        found, _ = best_partition(make_hypergraph(5, 2, edges), balanced_only=balanced_only)
+        assert found.part1 == smallest
 
 
 class TestPartitionDistance:
