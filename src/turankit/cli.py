@@ -29,10 +29,11 @@ from .constructions import (
 from .hypergraph import (
     Hypergraph,
     VertexMap,
-    canonical_regions,
+    check_capacity,
     edge_vertices,
     format_hypergraph,
     parse_hypergraph,
+    pattern_profile,
 )
 from .morphisms import find_homomorphism, reduce_to_core, reduce_to_max_degree3
 from .solver import (
@@ -173,6 +174,7 @@ def cmd_construct(args) -> int:
             if args.part1 is not None:
                 part = Partition.from_part1(args.n, [int(t) for t in args.part1.split(",")])
             elif args.part1_size is not None:
+                check_capacity(args.part1_size)
                 part = Partition(args.n, (1 << args.part1_size) - 1)
             else:
                 raise UsageError("odd-bipartite needs --best, --part1, or --part1-size")
@@ -283,8 +285,7 @@ def _solve_range(args, n_values: list[int]) -> tuple[str, list[SolveRecord]]:
     secs = _budget(args.budget_secs, ENV_BUDGET_SECS, float)
     seeds = {}
     # An expanded triangle is its own r-suspension, of width r/2.
-    if (args.seed_construction and len(f.edges) == 3
-            and suspension_width(canonical_regions(*f.edges), f.r) == f.r / 2):
+    if args.seed_construction and suspension_width(pattern_profile(f), f.r) == f.r / 2:
         seeds = {n: max_odd_bipartite(n, f.r)[1] for n in n_values if n >= f.r}
     records = density_sequence(
         f,
@@ -319,6 +320,8 @@ def cmd_solve(args) -> int:
 def cmd_density(args) -> int:
     if args.n_from > args.n_to:
         raise UsageError(f"--n-from {args.n_from} exceeds --n-to {args.n_to}")
+    check_capacity(args.n_from)
+    check_capacity(args.n_to)
     name, records = _solve_range(args, list(range(args.n_from, args.n_to + 1)))
     rows = [
         {

@@ -11,8 +11,9 @@ from math import comb
 from typing import Iterable
 
 from .hypergraph import (
-    MAX_VERTICES,
     Hypergraph,
+    check_capacity,
+    checked_edge_mask,
     edge_mask,
     edge_vertices,
     from_masks,
@@ -27,8 +28,7 @@ class Partition:
     part1: int
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        check_capacity(self.n)
         if self.part1 & ~((1 << self.n) - 1):
             raise ValueError("part1 uses a vertex outside 0..n-1")
 
@@ -46,7 +46,9 @@ class Partition:
 
     @classmethod
     def from_part1(cls, n: int, vertices: Iterable[int]) -> "Partition":
-        return cls(n, edge_mask(vertices))
+        check_capacity(n)
+        part1 = {*vertices}  # a vertex listed twice is merged, as in edge_mask
+        return cls(n, checked_edge_mask(n, len(part1), *part1))
 
 
 def expanded_triangle(k: int) -> Hypergraph:
@@ -54,10 +56,7 @@ def expanded_triangle(k: int) -> Hypergraph:
     union of two blocks. Every vertex has degree 2 and pairwise edge
     intersections have size k.
     """
-    if k < 1:
-        raise ValueError("block size k must be at least 1")
-    if 3 * k > MAX_VERTICES:
-        raise ValueError(f"3k = {3 * k} exceeds the {MAX_VERTICES}-vertex capacity")
+    check_capacity(3 * k, 2 * k)
     block = (1 << k) - 1
     s1, s2, s3 = block, block << k, block << (2 * k)
     return from_masks(3 * k, 2 * k, (s1 | s2, s2 | s3, s3 | s1))
@@ -73,8 +72,7 @@ def suspension(f: Hypergraph, r: int) -> Hypergraph:
     if r == s:
         return f
     extra = r - s
-    if f.n + extra > MAX_VERTICES:
-        raise ValueError(f"{f.n + extra} vertices exceed the {MAX_VERTICES}-vertex capacity")
+    check_capacity(f.n + extra, r)
     apex = ((1 << extra) - 1) << f.n
     return from_masks(f.n + extra, r, (e | apex for e in f.edges))
 
@@ -88,8 +86,6 @@ def odd_bipartite(partition: Partition, uniformity: int) -> Hypergraph:
     if uniformity < 2 or uniformity % 2:
         raise ValueError(f"uniformity must be even and >= 2, got {uniformity}")
     n = partition.n
-    if n < uniformity:
-        raise ValueError(f"need at least {uniformity} vertices, got {n}")
     p1 = partition.part1
     complete = complete_rgraph(n, uniformity).edges  # ascending, so the filter is too
     return Hypergraph(n, uniformity, tuple(e for e in complete if (e & p1).bit_count() % 2))
@@ -112,10 +108,7 @@ def max_odd_bipartite(n: int, uniformity: int) -> tuple[Partition, Hypergraph, i
     toward the more balanced partition. Returns the winning partition, its
     hypergraph, and the edge count.
     """
-    if uniformity < 2 or uniformity % 2:
-        raise ValueError(f"uniformity must be even and >= 2, got {uniformity}")
-    if n < uniformity:
-        raise ValueError(f"need at least {uniformity} vertices, got {n}")
+    check_capacity(n, uniformity)
     best = None
     for t in range(n // 2 + 1):
         count = odd_bipartite_count(n, t, uniformity)
@@ -129,10 +122,7 @@ def max_odd_bipartite(n: int, uniformity: int) -> tuple[Partition, Hypergraph, i
 
 def matching(r: int, m: int) -> Hypergraph:
     """m pairwise disjoint r-edges on r*m vertices."""
-    if r < 1 or m < 0:
-        raise ValueError("need uniformity >= 1 and a non-negative edge count")
-    if r * m > MAX_VERTICES:
-        raise ValueError(f"vertex count {r * m} outside 0..{MAX_VERTICES}")
+    check_capacity(r * m, r)
     block = (1 << r) - 1
     return from_masks(r * m, r, (block << (i * r) for i in range(m)))
 
@@ -141,6 +131,5 @@ def complete_rgraph(n: int, r: int) -> Hypergraph:
     """All C(n, r) possible edges."""
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    check_capacity(n, r)
     return from_masks(n, r, (edge_mask(c) for c in itertools.combinations(range(n), r)))

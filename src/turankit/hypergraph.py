@@ -16,6 +16,15 @@ from typing import Iterable, Iterator, Optional
 MAX_VERTICES = 64
 
 
+def check_capacity(n: int, r: int = 1) -> None:
+    """The one size rule, checked before anything of size n or r is built:
+    n in 0..64 and r in 1..64 (r > 64 only refuses edgeless inputs)."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    if not 1 <= r <= MAX_VERTICES:
+        raise ValueError(f"uniformity {r} outside 1..{MAX_VERTICES}")
+
+
 def edge_mask(vertices: Iterable[int]) -> int:
     """Pack vertex indices into an edge bit vector."""
     mask = 0
@@ -43,10 +52,7 @@ class Hypergraph:
     edges: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
-        if self.r < 1:
-            raise ValueError("uniformity must be at least 1")
+        check_capacity(self.n, self.r)
         full = (1 << self.n) - 1
         prev = -1
         for e in self.edges:
@@ -103,7 +109,8 @@ def checked_edge_mask(n: int, r: int, *vertices: int) -> int:
 
 def make_hypergraph(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     """Build a hypergraph from vertex lists, each checked by
-    checked_edge_mask; duplicate edges are silently merged."""
+    checked_edge_mask once n and r are; duplicate edges are silently merged."""
+    check_capacity(n, r)
     return from_masks(n, r, (checked_edge_mask(n, r, *edge) for edge in edges))
 
 
@@ -119,8 +126,9 @@ def format_hypergraph(h: Hypergraph) -> str:
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the text format produced by format_hypergraph.
 
-    Blank lines and lines starting with '#' are ignored. Edges with the wrong
-    number of vertices are rejected.
+    Blank lines and lines starting with '#' are ignored. The header's n and r
+    are checked as soon as it is read; edges with the wrong number of
+    vertices are rejected.
     """
     header = None
     edges = []
@@ -133,6 +141,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
             if len(parts) != 2 or not parts[0].startswith("n=") or not parts[1].startswith("r="):
                 raise ValueError(f"bad header line {line!r}, expected 'n=<n> r=<r>'")
             header = (int(parts[0][2:]), int(parts[1][2:]))
+            check_capacity(*header)
         else:
             edges.append([int(tok) for tok in line.split()])
     if header is None:
@@ -226,9 +235,7 @@ class RegionProfile:
 
     @classmethod
     def of(cls, h: Hypergraph) -> "RegionProfile":
-        if len(h.edges) != 3:
-            raise ValueError(f"region profile needs exactly 3 edges, got {len(h.edges)}")
-        return cls(*canonical_regions(*h.edges))
+        return cls(*pattern_profile(h))
 
     def as_tuple(self) -> tuple[int, ...]:
         return (self.a1, self.a2, self.a3, self.a12, self.a13, self.a23, self.a123)
@@ -262,6 +269,13 @@ def canonical_profile(profile: tuple[int, ...]) -> tuple[int, ...]:
 def canonical_regions(e1: int, e2: int, e3: int) -> tuple[int, ...]:
     """Canonical region profile of the three edges."""
     return canonical_profile(_regions(e1, e2, e3))
+
+
+def pattern_profile(f: Hypergraph) -> tuple[int, ...]:
+    """The one three-edge rule: f's canonical region profile, if f has 3 edges."""
+    if len(f.edges) != 3:
+        raise ValueError(f"need exactly 3 edges, got {len(f.edges)}")
+    return canonical_regions(*f.edges)
 
 
 # -- isomorphism ----------------------------------------------------------
@@ -359,13 +373,13 @@ def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
     |e1∩e2∩e3|) fix all seven region counts, so a host triple is a copy
     exactly when its sizes equal f's under one of the six edge orders.
     """
-    if len(f.edges) != 3:
-        raise ValueError(f"pattern must have exactly 3 edges, got {len(f.edges)}")
+    profile = pattern_profile(f)
     if f.r != h.r:
         raise ValueError(f"uniformity mismatch: pattern r={f.r}, host r={h.r}")
+    # Under each edge order, |ei∩ej| is the pair region plus the triple one.
     shapes = {
-        ((a & b).bit_count(), (a & c).bit_count(), (b & c).bit_count(), (a & b & c).bit_count())
-        for a, b, c in itertools.permutations(f.edges)
+        (a12 + a123, a13 + a123, a23 + a123, a123)
+        for *_, a12, a13, a23, a123 in (g(profile) for g in _S3_GETTERS)
     }
     edges = h.edges
     m = len(edges)

@@ -21,6 +21,7 @@ from .hypergraph import (
     from_masks,
     max_degree,
     min_positive_degree,
+    pattern_profile,
 )
 
 REACHED_MIN_DEGREE_2 = "reached-min-degree-2"
@@ -125,8 +126,7 @@ def reduce_to_core(f1: Hypergraph) -> ReductionTrace:
     fold strictly decreases the number of degree-one vertices, so the loop
     terminates; the composed map is re-verified as a homomorphism.
     """
-    if len(f1.edges) != 3:
-        raise ValueError(f"need exactly 3 edges, got {len(f1.edges)}")
+    pattern_profile(f1)  # exactly 3 edges, else ValueError
     if min_positive_degree(f1) != 1:
         raise ValueError("minimum non-isolated degree is not 1")
     current = f1
@@ -172,8 +172,7 @@ def reduce_to_max_degree3(f1: Hypergraph) -> tuple[Hypergraph, VertexMap]:
     r = f1.r
     if r < 3:
         raise ValueError(f"need uniformity >= 3, got {r}")
-    if len(f1.edges) != 3:
-        raise ValueError(f"need exactly 3 edges, got {len(f1.edges)}")
+    pattern_profile(f1)  # exactly 3 edges, else ValueError
     if min_positive_degree(f1) != 1:
         raise ValueError("minimum non-isolated degree is not 1")
 

@@ -30,11 +30,11 @@ from .constructions import complete_rgraph
 from .hypergraph import (
     MAX_VERTICES,
     Hypergraph,
-    canonical_regions,
     checked_edge_mask,
     copies_of,
     edge_vertices,
     from_masks,
+    pattern_profile,
 )
 
 SOLVER_VERSION = "1"
@@ -116,6 +116,10 @@ class SolveRecord:
             len(profile) == 7
             and set(map(type, counts)) == {int}
             and min(counts) >= 0 and r >= 1 and n <= MAX_VERTICES
+            # r is each edge size the profile implies: a1+a12+a13+a123 and the like
+            and r == profile[0] + profile[3] + profile[4] + profile[6]
+            == profile[1] + profile[3] + profile[5] + profile[6]
+            == profile[2] + profile[4] + profile[5] + profile[6]
             and kw["status"] in (STATUS_OPTIMAL, STATUS_LOWER_BOUND)
             and type(kw["family_name"]) is str and type(kw["version"]) is str
             and optimum == len(edges)
@@ -136,12 +140,10 @@ def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSys
 
     When n is smaller than f's support the conflict list is empty.
     """
-    if len(f.edges) != 3:
-        raise ValueError(f"forbidden pattern must have exactly 3 edges, got {len(f.edges)}")
+    profile = pattern_profile(f)
     r = f.r
     complete = complete_rgraph(n, r) if n >= r else Hypergraph(n, r, ())
     ground = complete.edges
-    profile = canonical_regions(*f.edges)
     if n < f.support_size:
         return TripleSystem(n, r, ground, (), profile, family_name)
     # The ground is ascending and copies_of yields ascending triples in
@@ -465,9 +467,7 @@ def solve_family(
     Budgets are checked before the cache is read, so a bad budget is refused
     whether or not the record is cached. A cached witness that contains a
     copy of f raises ValueError naming the cache file."""
-    if len(f.edges) != 3:
-        raise ValueError("forbidden pattern must have exactly 3 edges")
-    profile = canonical_regions(*f.edges)
+    profile = pattern_profile(f)
     _check_budgets(budget_nodes, budget_secs)
     if cache is not None:
         hit = cache.lookup(profile, n)

@@ -279,7 +279,8 @@ K33_RECORD = {
 }
 
 # K33_RECORD with one record rule broken, and only that one (an empty
-# witness keeps n=-1 and r=0 clear of the witness rules).
+# witness keeps n=-1 and r=0 clear of the witness rules, and an all-zero
+# profile keeps r=0 clear of the profile's edge sizes).
 NON_RECORDS = {
     "string-nodes": dict(K33_RECORD, nodes="many"),
     "negative-millis": dict(K33_RECORD, millis=-5),
@@ -290,7 +291,9 @@ NON_RECORDS = {
     "six-entry-profile": dict(K33_RECORD, family_profile=[0, 0, 0, 1, 1, 1]),
     "negative-n": dict(K33_RECORD, n=-1, optimum=0, witness=[]),
     "n-65": dict(K33_RECORD, n=65),
-    "r-0": dict(K33_RECORD, r=0, optimum=0, witness=[]),
+    "r-0": dict(K33_RECORD, family_profile=[0] * 7, r=0, optimum=0, witness=[]),
+    # the triangle profile's edges have 2 vertices, so r must be 2
+    "r-3-triangle-profile": dict(K33_RECORD, r=3, optimum=1, witness=[[0, 1, 2]]),
     "vertex-outside-n": dict(K33_RECORD, witness=K33_RECORD["witness"][:-1] + [[0, 9]]),
     "edge-of-3-at-r-2": dict(K33_RECORD, witness=K33_RECORD["witness"][:-1] + [[0, 1, 2]]),
     "huge-vertex": dict(K33_RECORD, witness=K33_RECORD["witness"][:-1] + [[0, 100_000_000]]),

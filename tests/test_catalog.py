@@ -1,12 +1,15 @@
 """Three-edge class enumeration and the min-degree-two classification."""
 
+import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
 from turankit import (
     RegionProfile,
+    ThreeEdgeCatalog,
     canonical_regions,
     edge_mask,
     edge_vertices,
@@ -156,6 +159,17 @@ class TestClassification:
 
         with pytest.raises(RuntimeError, match="classification failed"):
             verify_classification(4, Broken())
+
+    @pytest.mark.parametrize("widths", [(1, None), (2, 2)], ids=["no-width", "width-twice"])
+    def test_wrong_widths_raise(self, widths):
+        # Two min-degree-2 classes at r=4, the right count, with one class
+        # matching no suspension or both matching width 2.
+        real = enumerate_three_edge(4).min_degree_two
+        broken = ThreeEdgeCatalog(4, tuple(
+            dataclasses.replace(entry, suspension_index=width) for entry, width in zip(real, widths)
+        ))
+        with pytest.raises(RuntimeError, match=re.escape(f"{real[1].profile.as_tuple()}, {widths[1]})")):
+            verify_classification(4, broken)
 
 
 def test_suspension_width_skips_widths_past_the_vertex_capacity():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -320,7 +321,7 @@ class TestSolveAndDensity:
             "solve", "--family", "matching", "--r", r, "--m", "2", "--n", "5", "--seed-construction",
         )
         assert code == 1 and out == ""
-        assert err == "error: forbidden pattern must have exactly 3 edges\n"
+        assert err == "error: need exactly 3 edges, got 2\n"
 
     def test_env_budget_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TURANKIT_BUDGET_NODES", "3")
@@ -570,6 +571,37 @@ FAMILY_SUBCOMMANDS = {
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["construct", "--family", "odd-bipartite", "--n", "100000000", "--k", "2", "--best"],
+             "vertex count 100000000 outside 0..64"),
+            (["construct", "--family", "odd-bipartite", "--n", "6", "--k", "500000000", "--best"],
+             "uniformity 1000000000 outside 1..64"),
+            (["construct", "--family", "odd-bipartite", "--n", "6", "--k", "1", "--part1", "0,-1"],
+             "vertex -1 outside the integers 0..5"),
+            (["construct", "--family", "odd-bipartite", "--n", "6", "--k", "1", "--part1-size", "-1"],
+             "vertex count -1 outside 0..64"),
+            (["solve", "--family", "expanded-triangle", "--k", "2", "--n", "100000000",
+              "--seed-construction"], "vertex count 100000000 outside 0..64"),
+            (["density", "--family", "triangle", "--n-from", "60", "--n-to", "65",
+              "--budget-secs", "0.01"], "vertex count 65 outside 0..64"),
+            (["stability", "--input", "huge-r.hg"], "uniformity 1000000000 outside 1..64"),
+        ],
+        ids=["odd-bipartite-best-n", "odd-bipartite-best-k", "part1-negative",
+             "part1-size-negative", "solve-seeded-n", "density-past-64", "stability-header-r"],
+    )
+    def test_runaway_sizes_exit_at_once(self, capsys, tmp_path, monkeypatch, argv, message):
+        # Each is refused before anything of its size is built, scanned or
+        # solved: no output and no cache file.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "huge-r.hg").write_text("n=3 r=1000000000\n")
+        start = time.monotonic()
+        code, out, err = run(capsys, "--cache", "c.jsonl", *argv)
+        assert time.monotonic() - start < 1
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "c.jsonl").exists()
+
     @pytest.mark.parametrize("command", sorted(FAMILY_SUBCOMMANDS))
     @pytest.mark.parametrize("family,supplied,missing", MISSING_FAMILY_FLAGS)
     def test_missing_family_params(self, capsys, tmp_path, command, family, supplied, missing):

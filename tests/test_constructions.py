@@ -203,11 +203,11 @@ class TestPartition:
     "build, message",
     [
         (lambda: Partition(65, 1), r"vertex count 65 outside 0\.\.64"),
-        (lambda: expanded_triangle(22), "3k = 66 exceeds the 64-vertex capacity"),
-        (lambda: suspension(K3, 64), "65 vertices exceed the 64-vertex capacity"),
-        (lambda: odd_bipartite(Partition(3, 1), 4), "need at least 4 vertices, got 3"),
+        (lambda: expanded_triangle(22), r"vertex count 66 outside 0\.\.64"),
+        (lambda: suspension(K3, 64), r"vertex count 65 outside 0\.\.64"),
+        (lambda: odd_bipartite(Partition(3, 1), 4), "need n >= r, got n=3, r=4"),
         (lambda: max_odd_bipartite(6, 3), "uniformity must be even and >= 2, got 3"),
-        (lambda: matching(3, -1), "need uniformity >= 1 and a non-negative edge count"),
+        (lambda: matching(3, -1), r"vertex count -3 outside 0\.\.64"),
         # capacity is checked before any edge is built, after the n >= r check
         (lambda: matching(2, 60000), r"vertex count 120000 outside 0\.\.64"),
         (lambda: complete_rgraph(65, 6), r"vertex count 65 outside 0\.\.64"),

@@ -2,28 +2,37 @@
 
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from turankit import (
     Hypergraph,
+    Partition,
     RegionProfile,
     VertexMap,
     canonical_regions,
     complete_rgraph,
     copies_of,
+    density_sequence,
     edge_mask,
     edge_vertices,
     enumerate_three_edge,
     expanded_triangle,
     find_isomorphism,
+    forbidden_triples,
     format_hypergraph,
     from_masks,
     is_isomorphic,
     link,
     make_hypergraph,
     matching,
+    max_odd_bipartite,
     parse_hypergraph,
+    reduce_to_core,
+    reduce_to_max_degree3,
+    solve_family,
     suspension,
 )
 from turankit.catalog import realize_profile
@@ -280,7 +289,7 @@ class TestVertexMap:
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Hypergraph(3, 0, ()), "uniformity must be at least 1"),
+        (lambda: Hypergraph(3, 0, ()), r"uniformity 0 outside 1\.\.64"),
         (lambda: Hypergraph(3, 2, (0b110, 0b011)), "edges must be deduplicated and sorted ascending"),
         (lambda: Hypergraph(3, 2, (0b011, 0b011)), "edges must be deduplicated and sorted ascending"),
         (lambda: Hypergraph(3, 2, (0b1001,)), r"edge \[0, 3\] uses a vertex outside 0\.\.2"),
@@ -297,3 +306,67 @@ class TestVertexMap:
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+BIG = 10**8
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Hypergraph(BIG, 2, ()),
+        lambda: Hypergraph(3, BIG, ()),
+        lambda: make_hypergraph(BIG, 2, [[0, BIG - 1]]),
+        lambda: make_hypergraph(3, BIG, []),
+        lambda: parse_hypergraph(f"n={BIG} r=2\n0 {BIG - 1}\n"),
+        lambda: parse_hypergraph(f"n=3 r={BIG}\n"),
+        lambda: Partition(BIG, 1),
+        lambda: Partition.from_part1(BIG, [0, BIG - 1]),
+        lambda: Partition.from_part1(6, [0, BIG]),
+        lambda: expanded_triangle(BIG),
+        lambda: suspension(K3, BIG),
+        lambda: matching(2, BIG),
+        lambda: matching(BIG, 1),
+        lambda: complete_rgraph(BIG, 2),
+        lambda: max_odd_bipartite(BIG, 4),
+        lambda: max_odd_bipartite(6, BIG),
+        lambda: forbidden_triples(K3, BIG),
+        lambda: solve_family(K3, BIG),
+        lambda: density_sequence(K3, [BIG]),
+    ],
+    ids=["hypergraph-n", "hypergraph-r", "make-n", "make-r", "parse-n", "parse-r",
+         "partition-n", "from-part1-n", "from-part1-vertex", "expanded-triangle",
+         "suspension", "matching-m", "matching-r", "complete", "max-odd-bipartite-n",
+         "max-odd-bipartite-r", "forbidden-triples", "solve-family", "density-sequence"],
+)
+def test_sizes_checked_before_building(build):
+    # A size of 10**8 is refused before anything of that size is built or
+    # scanned: a mask 1 << 10**8 alone is 12.5 MB.
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(ValueError, match="outside"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 1
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: next(copies_of(f, complete_rgraph(6, 3))),
+        RegionProfile.of,
+        lambda f: forbidden_triples(f, 6),
+        lambda f: solve_family(f, 6),
+        reduce_to_core,
+        reduce_to_max_degree3,
+    ],
+    ids=["copies-of", "region-profile", "forbidden-triples", "solve-family",
+         "reduce-to-core", "reduce-to-max-degree3"],
+)
+def test_three_edge_rule_has_one_wording(call):
+    with pytest.raises(ValueError, match="^need exactly 3 edges, got 2$"):
+        call(matching(3, 2))
