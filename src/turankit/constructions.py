@@ -77,14 +77,19 @@ def suspension(f: Hypergraph, r: int) -> Hypergraph:
     return from_masks(f.n + extra, r, (e | apex for e in f.edges))
 
 
+def check_even_uniformity(uniformity: int) -> None:
+    """The one rule of the odd-bipartite constructions and diagnostics."""
+    if uniformity < 2 or uniformity % 2:
+        raise ValueError(f"uniformity must be even and >= 2, got {uniformity}")
+
+
 def odd_bipartite(partition: Partition, uniformity: int) -> Hypergraph:
     """All uniformity-sets meeting part1 in an odd number of vertices.
 
     The uniformity must be even, so meeting part1 oddly is the same as
     meeting part2 oddly.
     """
-    if uniformity < 2 or uniformity % 2:
-        raise ValueError(f"uniformity must be even and >= 2, got {uniformity}")
+    check_even_uniformity(uniformity)
     n = partition.n
     p1 = partition.part1
     complete = complete_rgraph(n, uniformity).edges  # ascending, so the filter is too
@@ -108,6 +113,7 @@ def max_odd_bipartite(n: int, uniformity: int) -> tuple[Partition, Hypergraph, i
     toward the more balanced partition. Returns the winning partition, its
     hypergraph, and the edge count.
     """
+    check_even_uniformity(uniformity)
     check_capacity(n, uniformity)
     best = None
     for t in range(n // 2 + 1):

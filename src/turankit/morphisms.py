@@ -118,6 +118,12 @@ def _lexicographic_fold_pair(f: Hypergraph) -> tuple[int, int]:
     raise ValueError("no admissible fold pair; is the minimum degree 1?")
 
 
+def _check_fold_input(f: Hypergraph) -> None:
+    pattern_profile(f)  # exactly 3 edges, else ValueError
+    if min_positive_degree(f) != 1:
+        raise ValueError("need a degree-one vertex: minimum non-isolated degree is not 1")
+
+
 def reduce_to_core(f1: Hypergraph) -> ReductionTrace:
     """Fold degree-one vertices until at most two edges remain or every
     non-isolated vertex has degree at least two.
@@ -126,9 +132,7 @@ def reduce_to_core(f1: Hypergraph) -> ReductionTrace:
     fold strictly decreases the number of degree-one vertices, so the loop
     terminates; the composed map is re-verified as a homomorphism.
     """
-    pattern_profile(f1)  # exactly 3 edges, else ValueError
-    if min_positive_degree(f1) != 1:
-        raise ValueError("minimum non-isolated degree is not 1")
+    _check_fold_input(f1)
     current = f1
     composed = VertexMap.identity(f1.n)
     steps = []
@@ -172,9 +176,7 @@ def reduce_to_max_degree3(f1: Hypergraph) -> tuple[Hypergraph, VertexMap]:
     r = f1.r
     if r < 3:
         raise ValueError(f"need uniformity >= 3, got {r}")
-    pattern_profile(f1)  # exactly 3 edges, else ValueError
-    if min_positive_degree(f1) != 1:
-        raise ValueError("minimum non-isolated degree is not 1")
+    _check_fold_input(f1)
 
     current, composed = f1, VertexMap.identity(f1.n)
     if max_degree(f1) == 2:

@@ -9,9 +9,9 @@ append-only JSONL result cache keyed by the pattern's region profile.
 
 The search state is a handful of Python ints used as bitsets: included and
 excluded edges over the ground set, and the active and hit conflicts over
-the conflict list. Each node's branch counts, packing and propagation are
-big-int operations on per-edge conflict-membership masks, the one conflict
-index the search keeps, not a loop over every active conflict.
+the conflict list. Packing and propagation are big-int operations on
+per-edge conflict-membership masks, the one conflict index the search
+keeps; the per-edge branch counts pass from parent to child.
 """
 
 from __future__ import annotations
@@ -216,8 +216,12 @@ def solve_exact(
     keeping a conflict when no earlier pick shares an undecided edge with it;
     each pick removes every conflict through its undecided edges' membership
     masks. This is the same first-fit greedy as scanning every active
-    conflict, at O(picks) big-int operations instead of O(active); an edge's
-    branch count is one AND and bit_count of its mask with the active set.
+    conflict, at O(picks) big-int operations instead of O(active).
+
+    A branch node passes its active set and branch counts (active conflicts
+    per undecided edge, at most 0 per decided one) to both children. A child
+    decrements a copy by the three edges of each conflict dead since then,
+    or rebuilds it when those conflicts outnumber half its undecided edges.
 
     The root fixes the first ground edge to included, which is valid for the
     documented TripleSystem shape: a complete ground set, whose relabeling
@@ -267,7 +271,7 @@ def solve_exact(
                 forced &= active
             return inc, exc, active, hit | membership[e]
 
-        def dfs(inc: int, exc: int, active: int, hit: int):
+        def dfs(inc: int, exc: int, active: int, hit: int, parent_active: int, parent_counts: list):
             nonlocal best_val, best_mask, nodes
             nodes += 1
             if nodes >= node_budget:
@@ -295,9 +299,9 @@ def solve_exact(
             two = rem & hit
             while two:
                 packed += 1
-                for x in conflicts[last + 1 - two.bit_length()]:
-                    if not inc >> x & 1:
-                        rem &= keep[x]
+                a, b, c = conflicts[last + 1 - two.bit_length()]
+                u, v = (b, c) if inc >> a & 1 else (a, c) if inc >> b & 1 else (a, b)
+                rem &= keep[u] & keep[v]
                 two = rem & hit
             while rem:
                 packed += 1
@@ -306,21 +310,23 @@ def solve_exact(
             bound = inc_count + undecided - packed
             if bound <= best_val:
                 return
-            # Branch on the undecided edge in the most active conflicts,
-            # the lowest index among ties.
-            branch = -1
-            most = 0
-            free = full & ~(inc | exc)
-            while free:
-                low = free & -free
-                free ^= low
-                e = low.bit_length() - 1
-                count = (membership[e] & active).bit_count()
-                if count > most:
-                    most = count
-                    branch = e
-            include_state = include(inc, exc, active, hit, branch)
-            exclude_state = (inc, exc | (1 << branch), active & keep[branch], hit)
+            gone = parent_active & ~active  # the conflicts dead since the parent
+            if 2 * gone.bit_count() <= undecided:
+                counts = parent_counts[:]
+                for bit in edge_vertices(gone):
+                    for x in conflicts[last - bit]:
+                        counts[x] -= 1
+            else:
+                counts = [-1] * m
+                for e in edge_vertices(full & ~(inc | exc)):
+                    counts[e] = (membership[e] & active).bit_count()
+            # Branch on the undecided edge in the most active conflicts, the
+            # lowest index among ties. Each active conflict has at least two
+            # undecided edges, so the maximum is at least 1: no decided edge wins.
+            branch = counts.index(max(counts))
+            counts[branch] = -1
+            include_state = (*include(inc, exc, active, hit, branch), active, counts)
+            exclude_state = (inc, exc | (1 << branch), active & keep[branch], hit, active, counts)
             if bound - best_val >= 2:
                 order = (include_state, exclude_state)
             else:
@@ -331,8 +337,9 @@ def solve_exact(
         # Root symmetry breaking: ground edges are interchangeable under
         # vertex relabeling and a single edge is always conflict-free, so
         # some optimum contains the first ground edge.
+        counts = [-1] + [mem.bit_count() for mem in membership[1:]]
         try:
-            dfs(*include(0, 0, all_conflicts, 0, 0))
+            dfs(*include(0, 0, all_conflicts, 0, 0), all_conflicts, counts)
         except _BudgetExhausted:
             status = STATUS_LOWER_BOUND
 

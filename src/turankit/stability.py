@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .constructions import Partition, odd_bipartite, odd_bipartite_count
+from .constructions import Partition, check_even_uniformity, odd_bipartite, odd_bipartite_count
 from .hypergraph import Hypergraph, link
 
 BEST_PARTITION_MAX_N = 24
@@ -42,11 +42,6 @@ class DeviationReport:
         return self.bad + self.missing
 
 
-def _check_even_uniformity(h: Hypergraph) -> None:
-    if h.r % 2 or h.r < 2:
-        raise ValueError(f"deviation diagnostics need even uniformity, got r={h.r}")
-
-
 def deviation(h: Hypergraph, partition: Partition) -> DeviationReport:
     """Exact bad/missing decomposition of h against the partition.
 
@@ -54,7 +49,7 @@ def deviation(h: Hypergraph, partition: Partition) -> DeviationReport:
     both edge tuples ascending by bit vector like Hypergraph.edges. With
     fewer vertices than r there are no r-sets and the report is empty.
     """
-    _check_even_uniformity(h)
+    check_even_uniformity(h.r)
     if partition.n != h.n:
         raise ValueError(f"partition is over {partition.n} vertices, hypergraph over {h.n}")
     complete = odd_bipartite(partition, h.r).edges if h.n >= h.r else ()
@@ -79,7 +74,7 @@ def best_partition(h: Hypergraph, balanced_only: bool = False) -> tuple[Partitio
     CPython 3.11). Ties break toward the smallest part1 bit vector.
     balanced_only restricts to part sizes differing by at most one.
     """
-    _check_even_uniformity(h)
+    check_even_uniformity(h.r)
     n = h.n
     if n > BEST_PARTITION_MAX_N:
         raise ValueError(f"partition scan supports n <= {BEST_PARTITION_MAX_N}, got {n}")

@@ -204,13 +204,19 @@ class TestReduceToMaxDegree3:
             reduce_to_max_degree3(suspension(K3, 3))
 
 
+FOLD_INPUT = "^need a degree-one vertex: minimum non-isolated degree is not 1$"
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
         (lambda: fold_vertex(matching(2, 3), 6, 0), "fold vertices out of range"),
         (lambda: reduce_to_max_degree3(matching(3, 2)), "need exactly 3 edges, got 2"),
+        # one fold-input rule: every vertex of an expanded triangle has degree 2
+        (lambda: reduce_to_core(expanded_triangle(2)), FOLD_INPUT),
+        (lambda: reduce_to_max_degree3(expanded_triangle(2)), FOLD_INPUT),
     ],
-    ids=["fold-vertex-range", "degree3-two-edges"],
+    ids=["fold-vertex-range", "degree3-two-edges", "core-min-degree-2", "degree3-min-degree-2"],
 )
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):

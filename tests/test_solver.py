@@ -254,6 +254,16 @@ class TestSolveExact:
         record = solve_exact(system, seed_witness=seed)
         assert reference_search(system, seed_mask) == (record.optimum, record.nodes, record.witness)
 
+    def test_rebuild_path_matches_reference_search(self):
+        # A dense r=3 system: 5,040 conflicts on 56 edges, where a child
+        # usually finds more dead conflicts than twice its undecided edges
+        # and rebuilds its branch counts instead of updating the parent's.
+        system = forbidden_triples(realize_profile((0, 1, 2, 2, 1, 0, 0), 3), 8)
+        assert (len(system.conflicts), len(system.ground)) == (5040, 56)
+        record = solve_exact(system)
+        assert (record.optimum, record.nodes) == (21, 281)
+        assert reference_search(system) == (record.optimum, record.nodes, record.witness)
+
     @pytest.mark.parametrize("budgets", [
         {"budget_nodes": 0},
         {"budget_nodes": -5},

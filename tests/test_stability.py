@@ -298,6 +298,9 @@ class TestAcceptanceShapes:
         assert max_odd_bipartite(6, 4)[2] == 10
 
 
+ODD_R = r"^uniformity must be even and >= 2, got 3$"
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -306,8 +309,16 @@ class TestAcceptanceShapes:
         (lambda: best_partition(Hypergraph(0, 2, ())), "need at least one vertex"),
         (lambda: heavy_missing_vertices(complete_rgraph(6, 2), Partition(6, 1), -1),
          "threshold must be non-negative"),
+        # one even-uniformity rule, checked by max_odd_bipartite before its
+        # part-size scan and the size rule
+        (lambda: odd_bipartite(Partition(6, 1), 3), ODD_R),
+        (lambda: max_odd_bipartite(10**9, 3), ODD_R),
+        (lambda: deviation(complete_rgraph(6, 3), Partition(6, 1)), ODD_R),
+        (lambda: best_partition(complete_rgraph(6, 3)), ODD_R),
     ],
-    ids=["deviation-other-n", "best-partition-empty", "negative-threshold"],
+    ids=["deviation-other-n", "best-partition-empty", "negative-threshold",
+         "odd-bipartite-odd-r", "max-odd-bipartite-odd-r", "deviation-odd-r",
+         "best-partition-odd-r"],
 )
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):
