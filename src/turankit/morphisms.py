@@ -100,8 +100,9 @@ def fold_vertex(f: Hypergraph, x: int, y: int) -> tuple[Hypergraph, VertexMap]:
     return folded, fold_map
 
 
-def _lexicographic_fold_pair(f: Hypergraph) -> tuple[int, int]:
-    """Smallest (x, y) with deg(x) = 1 and y in another edge, outside x's edge."""
+def _fold_pair(f: Hypergraph, onto: int) -> tuple[int, int]:
+    """Smallest (x, y) with deg(x) = 1 and y a vertex of the bit vector onto
+    that lies in another edge, outside x's edge."""
     degs = f.degrees()
     for x in range(f.n):
         if degs[x] != 1:
@@ -112,7 +113,7 @@ def _lexicographic_fold_pair(f: Hypergraph) -> tuple[int, int]:
         for e in f.edges:
             if e != host:
                 others |= e
-        candidates = others & ~host
+        candidates = others & ~host & onto
         if candidates:
             return x, edge_vertices(candidates)[0]
     raise ValueError("no admissible fold pair; is the minimum degree 1?")
@@ -137,7 +138,7 @@ def reduce_to_core(f1: Hypergraph) -> ReductionTrace:
     composed = VertexMap.identity(f1.n)
     steps = []
     while len(current.edges) == 3 and min_positive_degree(current) == 1:
-        x, y = _lexicographic_fold_pair(current)
+        x, y = _fold_pair(current, (1 << current.n) - 1)
         current, fold_map = fold_vertex(current, x, y)
         composed = composed.then(fold_map)
         steps.append(FoldStep(x, y, current))
@@ -145,20 +146,6 @@ def reduce_to_core(f1: Hypergraph) -> ReductionTrace:
     if not composed.is_homomorphism(f1, current):
         raise AssertionError("composed reduction map failed verification")
     return ReductionTrace(f1, tuple(steps), current, composed, status)
-
-
-def _claim_pair(f: Hypergraph) -> Optional[tuple[int, int]]:
-    """Smallest (x, y) with deg(x) = 1, deg(y) = 2, and no edge containing both."""
-    degs = f.degrees()
-    ones = [v for v in range(f.n) if degs[v] == 1]
-    twos = [v for v in range(f.n) if degs[v] == 2]
-    for x in ones:
-        xb = 1 << x
-        for y in twos:
-            yb = 1 << y
-            if not any(e & xb and e & yb for e in f.edges):
-                return x, y
-    return None
 
 
 def reduce_to_max_degree3(f1: Hypergraph) -> tuple[Hypergraph, VertexMap]:
@@ -180,10 +167,8 @@ def reduce_to_max_degree3(f1: Hypergraph) -> tuple[Hypergraph, VertexMap]:
 
     current, composed = f1, VertexMap.identity(f1.n)
     if max_degree(f1) == 2:
-        pair = _claim_pair(f1)
-        if pair is None:
-            raise AssertionError("no degree-(1,2) fold pair exists; unexpected for max degree 2")
-        current, composed = fold_vertex(f1, *pair)
+        twos = sum(1 << v for v, d in enumerate(f1.degrees()) if d == 2)
+        current, composed = fold_vertex(f1, *_fold_pair(f1, twos))
     if len(current.edges) == 3 and min_positive_degree(current) == 1 and max_degree(current) == 3:
         trace = reduce_to_core(current)
         current, composed = trace.terminal, composed.then(trace.map)

@@ -374,16 +374,18 @@ class ResultCache:
     the lines completed since the previous call, so appends by other
     writers are seen on the next call. The bytes after the last newline are
     an append in progress: they are not decoded, and they are read again on
-    the next call. A file that was replaced (a new device and inode), shrank
-    or disappeared is read again from the start; rewriting it in place
-    without shrinking it is not detected. Blank lines are skipped. Every
-    other line must decode to a record (SolveRecord.from_json_dict);
-    otherwise it is a corrupt line, and every later call raises it until the
-    file is replaced, truncated or removed. append writes each record with a
-    single write on an O_APPEND descriptor, so concurrent writers never
-    interleave within a line, and starts it with a newline when the file
-    does not end in one, so a record never lands on another line (the
-    partial line of an append that died part way becomes a corrupt line).
+    the next call. A missing file is an empty cache, even one that vanishes
+    as it is opened. A file that was replaced (a new device and inode) or
+    shrank is read again from the start; rewriting read lines in place
+    without shrinking the file is not detected. Blank lines are skipped.
+    Every other line must decode to a record (SolveRecord.from_json_dict);
+    otherwise it is a corrupt line: reading stops before it, so each later
+    call reads it again and raises it with the same line number until it is
+    mended in place or the file is replaced, truncated or removed. append
+    writes each record with a single write on an O_APPEND descriptor, so
+    concurrent writers never interleave within a line, and starts it with a
+    newline when the file does not end in one, so a record never lands on
+    another line (an interrupted append's partial line becomes a corrupt line).
     solve_family checks every hit's witness against the requested pattern.
     """
 
@@ -393,46 +395,39 @@ class ResultCache:
 
     def _reset(self, file_id: Optional[tuple[int, int]]) -> None:
         self._file_id = file_id
-        self._offset = 0  # bytes in the lines read so far, up to a newline
-        self._lines = 0  # number of lines read so far
+        self._offset = 0  # bytes before the first unread line
+        self._lines = 0  # lines before the first unread line
         self._records: list[SolveRecord] = []
         # (profile, n) -> the last proved record of the current version
         self._index: dict[tuple[tuple[int, ...], int], SolveRecord] = {}
-        self._error: Optional[str] = None
 
     def _refresh(self) -> None:
         """Bring the records up to date with the file, raising on a corrupt line."""
-        if not os.path.exists(self.path):
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
             self._reset(None)
             return
-        with open(self.path, "rb") as fh:
+        with fh:
             st = os.fstat(fh.fileno())
             file_id = (st.st_dev, st.st_ino)
             if file_id != self._file_id or st.st_size < self._offset:
                 self._reset(file_id)
-            if self._error is None and st.st_size > self._offset:
-                fh.seek(self._offset)
-                data = fh.read()
-                self._read(data[: data.rfind(b"\n") + 1])
-        if self._error is not None:
-            raise ValueError(self._error)
-
-    def _read(self, data: bytes) -> None:
-        """Decode the newline-terminated lines that make up data."""
-        lines = data.split(b"\n")[:-1]
-        for i, line in enumerate(lines, start=self._lines + 1):
-            if not line.strip():
-                continue
-            try:
-                rec = SolveRecord.from_json_dict(json.loads(line))
-            except (TypeError, ValueError, KeyError, RecursionError):
-                self._error = f"corrupt cache line {i} in {self.path}"
+            if st.st_size <= self._offset:
                 return
-            self._records.append(rec)
-            if rec.version == SOLVER_VERSION and rec.proved_optimal:
-                self._index[rec.family_profile, rec.n] = rec
-        self._offset += len(data)
-        self._lines += len(lines)
+            fh.seek(self._offset)
+            data = fh.read()
+        for line in data.split(b"\n")[:-1]:
+            if line.strip():
+                try:
+                    rec = SolveRecord.from_json_dict(json.loads(line))
+                except (TypeError, ValueError, KeyError, RecursionError):
+                    raise ValueError(f"corrupt cache line {self._lines + 1} in {self.path}") from None
+                self._records.append(rec)
+                if rec.version == SOLVER_VERSION and rec.proved_optimal:
+                    self._index[rec.family_profile, rec.n] = rec
+            self._offset += len(line) + 1
+            self._lines += 1
 
     def records(self) -> list[SolveRecord]:
         self._refresh()

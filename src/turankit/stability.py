@@ -9,7 +9,6 @@ recovers the per-vertex apparatus of the stability analysis at finite n.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .constructions import Partition, check_even_uniformity, odd_bipartite, odd_bipartite_count
@@ -118,9 +117,6 @@ def heavy_missing_vertices(h: Hypergraph, partition: Partition, threshold: int) 
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    if threshold == 0:
-        warnings.warn("threshold 0 selects every vertex", stacklevel=2)
-        return list(range(h.n))
     degs = Hypergraph(h.n, h.r, deviation(h, partition).missing_edges).degrees()
     return [v for v in range(h.n) if degs[v] >= threshold]
 

@@ -181,14 +181,15 @@ class TestReduceToMaxDegree3:
     def test_fold_pair_exists_for_max_degree_two(self):
         # A degree-1 vertex and a degree-2 vertex sharing no edge always exist
         # when the maximum degree is 2 and the minimum is 1.
-        from turankit.morphisms import _claim_pair
+        from turankit.morphisms import _fold_pair
 
         for r in (3, 4, 5):
             for entry in enumerate_three_edge(r).min_degree_one:
                 rep = entry.representative
                 if max_degree(rep) != 2:
                     continue
-                pair = _claim_pair(rep)
+                twos = sum(1 << v for v, d in enumerate(rep.degrees()) if d == 2)
+                pair = _fold_pair(rep, twos)
                 assert pair is not None, entry.profile
                 x, y = pair
                 degs = rep.degrees()

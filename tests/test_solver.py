@@ -604,6 +604,33 @@ class TestCache:
         os.replace(fresh, path)
         assert cache.records() == [record]
 
+    def test_file_vanishing_before_open_is_a_miss(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        record = solve_exact(forbidden_triples(K3, 5, "triangle"))
+        cache.append(record)
+        assert cache.lookup(record.family_profile, 5) == record
+        path.unlink()
+        # The file is gone between an existence check and the open.
+        exists = os.path.exists
+        monkeypatch.setattr(os.path, "exists", lambda p: p == str(path) or exists(p))
+        assert cache.lookup(record.family_profile, 5) is None
+        assert cache.records() == []
+
+    def test_truncating_a_corrupt_line_to_a_partial_line_clears_it(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(str(path))
+        record = solve_exact(forbidden_triples(K3, 5, "triangle"))
+        good = json.dumps(record.to_json_dict()) + "\n"
+        path.write_text(good + "not json\n")
+        with pytest.raises(ValueError, match="corrupt cache line 2"):
+            cache.lookup(record.family_profile, 5)
+        with open(path, "r+", encoding="utf-8") as fh:
+            fh.truncate(len(good) + len("not "))  # now an append in progress
+        assert cache.lookup(record.family_profile, 5) == record
+        path.write_text(good + good)  # the line mended in place
+        assert cache.records() == [record, record]
+
     def test_hit_containing_the_pattern_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ResultCache(str(path))

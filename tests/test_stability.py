@@ -243,8 +243,12 @@ class TestHeavyMissingVertices:
     def test_zero_threshold_flags_everything(self):
         part = Partition.from_part1(6, [0])
         h = odd_bipartite(part, 4)
-        with pytest.warns(UserWarning, match="every vertex"):
-            assert heavy_missing_vertices(h, part, 0) == list(range(6))
+        assert heavy_missing_vertices(h, part, 0) == list(range(6))
+        # threshold 0 keeps the input checks of every other threshold
+        with pytest.raises(ValueError, match="partition is over 5 vertices, hypergraph over 6"):
+            heavy_missing_vertices(complete_rgraph(6, 2), Partition(5, 1), 0)
+        with pytest.raises(ValueError, match=ODD_R):
+            heavy_missing_vertices(complete_rgraph(6, 3), Partition(6, 1), 0)
 
 
 class TestLinkPartitionScan:
