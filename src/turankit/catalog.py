@@ -13,12 +13,12 @@ from typing import Optional
 
 from .constructions import expanded_triangle, suspension
 from .hypergraph import (
-    MAX_VERTICES,
     Hypergraph,
     RegionProfile,
     canonical_profile,
     canonical_regions,
     from_masks,
+    suspension_width,
 )
 
 MIN_UNIFORMITY = 2
@@ -78,16 +78,6 @@ def _canonical_profiles(r: int) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def suspension_width(profile: tuple[int, ...], r: int) -> Optional[int]:
-    """Width i such that the class with this canonical region profile is the
-    r-suspension of the width-i expanded triangle; None if there is none.
-    Widths with r + i > MAX_VERTICES are skipped: no hypergraph has them."""
-    for i in range(1, min(r // 2, MAX_VERTICES - r) + 1):
-        if canonical_regions(*suspension(expanded_triangle(i), r).edges) == tuple(profile):
-            return i
-    return None
-
-
 def realize_profile(profile: tuple[int, ...], r: int) -> Hypergraph:
     """Concrete hypergraph with the given region counts, using contiguous
     index blocks per region in the order (1, 2, 3, 12, 13, 23, 123)."""
@@ -113,15 +103,13 @@ def enumerate_three_edge(r: int) -> ThreeEdgeCatalog:
     for profile in _canonical_profiles(r):
         rep = realize_profile(profile, r)
         degrees = rep.degrees()  # realize_profile leaves no vertex isolated
-        delta = min(degrees)
-        index = suspension_width(profile, r) if delta >= 2 else None
         entries.append(
             CatalogEntry(
                 profile=RegionProfile(*profile),
                 representative=rep,
-                min_degree=delta,
+                min_degree=min(degrees),
                 max_degree=max(degrees),
-                suspension_index=index,
+                suspension_index=suspension_width(profile, r),
             )
         )
     return ThreeEdgeCatalog(r, tuple(entries))
@@ -136,16 +124,19 @@ class ClassificationReport:
 
 def verify_classification(r: int, catalog: ThreeEdgeCatalog | None = None) -> ClassificationReport:
     """Check that the minimum-degree-two classes are exactly the suspensions
-    of expanded triangles of width 1..floor(r/2), one class per width.
+    of expanded triangles of width 1..floor(r/2), one class per width: their
+    (profile, width) pairs must be those of the constructions, built here.
 
     Any mismatch raises with a counterexample dump: it would mean a bug in
-    the enumerator, the constructions, or the isomorphism test.
+    the enumerator, the constructions, or the region profiles.
     """
     if catalog is None:
         catalog = enumerate_three_edge(r)
     matches = tuple((e.profile, e.suspension_index) for e in catalog.min_degree_two)
-    # A class with no width counts as 0, so it can never make the widths 1..r//2.
-    if sorted(width or 0 for _, width in matches) != list(range(1, r // 2 + 1)):
+    built = [(canonical_regions(*suspension(expanded_triangle(i), r).edges), i)
+             for i in range(1, r // 2 + 1)]
+    # A class with no width counts as 0, so it can never match a construction.
+    if sorted((p.as_tuple(), width or 0) for p, width in matches) != sorted(built):
         raise RuntimeError(
             f"classification failed for r={r}: the min-degree-2 classes (profile, width) "
             f"{[(p.as_tuple(), width) for p, width in matches]} do not have the widths "

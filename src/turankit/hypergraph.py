@@ -278,6 +278,14 @@ def pattern_profile(f: Hypergraph) -> tuple[int, ...]:
     return canonical_regions(*f.edges)
 
 
+def suspension_width(profile: tuple[int, ...], r: int) -> Optional[int]:
+    """Width i such that the class with this canonical region profile is the
+    r-suspension of the width-i expanded triangle, else None. That profile is
+    (0, 0, 0, i, i, i, r - 2i) under every edge order, so nothing is built."""
+    i = profile[3]
+    return i if i >= 1 and tuple(profile) == (0, 0, 0, i, i, i, r - 2 * i) else None
+
+
 # -- isomorphism ----------------------------------------------------------
 
 def _iso_invariants(h: Hypergraph) -> tuple:
@@ -376,18 +384,13 @@ def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
     profile = pattern_profile(f)
     if f.r != h.r:
         raise ValueError(f"uniformity mismatch: pattern r={f.r}, host r={h.r}")
-    # Under each edge order, |ei∩ej| is the pair region plus the triple one.
-    shapes = {
-        (a12 + a123, a13 + a123, a23 + a123, a123)
-        for *_, a12, a13, a23, a123 in (g(profile) for g in _S3_GETTERS)
-    }
     edges = h.edges
     m = len(edges)
     half = f.r // 2
-    if f.r % 2 == 0 and shapes == {(half, half, half, 0)}:
-        # Pairwise intersections of size r/2 and no triple region: the third
-        # edge is the symmetric difference of the other two, so each copy is
-        # found once, from its two smallest edges.
+    if suspension_width(profile, f.r) == f.r / 2:
+        # The expanded triangle: pairwise intersections of size r/2 and no
+        # triple region, so the third edge is the symmetric difference of the
+        # other two and each copy is found once, from its two smallest edges.
         edge_set = set(edges)
         for i in range(m):
             ei = edges[i]
@@ -397,6 +400,11 @@ def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
                 if (ei & ej).bit_count() == half and third > ej and third in edge_set:
                     yield (ei, ej, third)
         return
+    # Under each edge order, |ei∩ej| is the pair region plus the triple one.
+    shapes = {
+        (a12 + a123, a13 + a123, a23 + a123, a123)
+        for *_, a12, a13, a23, a123 in (g(profile) for g in _S3_GETTERS)
+    }
     # |e1∩e3| values that some shape allows after each |e1∩e2|.
     follow = {s12: {s[1] for s in shapes if s[0] == s12} for s12, _, _, _ in shapes}
     for i in range(m):

@@ -120,8 +120,7 @@ def _fold_pair(f: Hypergraph, onto: int) -> tuple[int, int]:
 
 
 def _check_fold_input(f: Hypergraph) -> None:
-    pattern_profile(f)  # exactly 3 edges, else ValueError
-    if min_positive_degree(f) != 1:
+    if not any(pattern_profile(f)[:3]):  # a degree-1 vertex is a singleton region
         raise ValueError("need a degree-one vertex: minimum non-isolated degree is not 1")
 
 

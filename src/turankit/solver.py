@@ -200,9 +200,9 @@ def solve_exact(
     disjoint undecided parts from the count of undecided edges. Completing
     within budget proves optimality; otherwise the record is marked
     lower-bound-only. The returned witness is re-verified to be conflict-free
-    either way. budget_nodes must be at least 1 and budget_secs a
-    non-negative number (0.0 stops at the first deadline poll); anything
-    else raises ValueError.
+    either way. budget_nodes must be at least 1 (a budget of N allows N
+    nodes) and budget_secs a non-negative number (0.0 stops at the first
+    deadline poll); anything else raises ValueError.
 
     A conflict is active while none of its edges is excluded, and the search
     carries hit, the conflicts containing an included edge. Including edge e
@@ -273,9 +273,9 @@ def solve_exact(
 
         def dfs(inc: int, exc: int, active: int, hit: int, parent_active: int, parent_counts: list):
             nonlocal best_val, best_mask, nodes
-            nodes += 1
-            if nodes >= node_budget:
+            if nodes == node_budget:
                 raise _BudgetExhausted
+            nodes += 1
             if not nodes & 255 and time.monotonic() > deadline:
                 raise _BudgetExhausted
             exc_count = exc.bit_count()

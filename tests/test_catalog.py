@@ -150,6 +150,10 @@ class TestClassification:
                 assert entry.min_degree == min_positive_degree(entry.representative)
                 assert entry.max_degree == max_degree(entry.representative)
 
+    def test_len_counts_the_classes(self):
+        counts = [len(enumerate_three_edge(r)) for r in range(2, 9)]
+        assert counts == [5, 12, 25, 44, 73, 112, 166]
+
     def test_mismatch_raises(self):
         import turankit.catalog as catalog_module
 

@@ -36,6 +36,7 @@ from turankit import (
     suspension,
 )
 from turankit.catalog import realize_profile
+from turankit.hypergraph import MAX_VERTICES, suspension_width
 
 from helpers import brute_force_copies, permutation_isomorphic
 
@@ -188,6 +189,23 @@ class TestRegionProfile:
             RegionProfile.of(make_hypergraph(3, 2, [[0, 1]]))
 
 
+class TestSuspensionWidth:
+    def test_every_buildable_suspension(self):
+        # Every (r, i) whose r-suspension of the width-i expanded triangle fits
+        # in 64 vertices: r + i <= 64.
+        pairs = [(r, i) for r in range(2, MAX_VERTICES + 1)
+                 for i in range(1, min(r // 2, MAX_VERTICES - r) + 1)]
+        assert len(pairs) == 672
+        for r, i in pairs:
+            f = suspension(expanded_triangle(i), r)
+            assert suspension_width(canonical_regions(*f.edges), r) == i, (r, i)
+
+    def test_min_degree_one_classes_have_none(self):
+        for r in range(2, 9):
+            for entry in enumerate_three_edge(r).min_degree_one:
+                assert suspension_width(entry.profile.as_tuple(), r) is None, entry.profile
+
+
 class TestIsomorphism:
     def test_triangle_is_expanded_triangle(self):
         assert is_isomorphic(K3, expanded_triangle(1))
@@ -228,6 +246,14 @@ class TestIsomorphism:
         edges2 = set(shuffled.edges)
         for e in hat5.edges:
             assert edge_mask(witness[v] for v in edge_vertices(e)) in edges2
+
+    def test_edgeless_pairs_are_isomorphic(self):
+        # With no edges there are no non-isolated vertices to match, so any
+        # two edgeless hypergraphs are isomorphic, whatever their n and r.
+        for f1, f2 in ((Hypergraph(3, 2, ()), Hypergraph(3, 2, ())),
+                       (Hypergraph(2, 2, ()), Hypergraph(5, 3, ()))):
+            assert is_isomorphic(f1, f2)
+            assert find_isomorphism(f1, f2) == {}
 
     def test_four_edge_fallback(self):
         square = make_hypergraph(4, 2, [[0, 1], [1, 2], [2, 3], [3, 0]])

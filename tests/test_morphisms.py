@@ -6,6 +6,7 @@ import pytest
 
 from turankit import (
     COLLAPSED,
+    Hypergraph,
     REACHED_MIN_DEGREE_2,
     enumerate_three_edge,
     expanded_triangle,
@@ -60,6 +61,12 @@ class TestFindHomomorphism:
             assert (found is not None) == all_maps_homomorphism_exists(f1, f2)
             if found is not None:
                 assert found.is_homomorphism(f1, f2)
+
+    def test_empty_target_has_no_map(self):
+        # A source with vertices has nowhere to send them, isolated or not.
+        for source in (K3, Hypergraph(3, 2, ())):
+            assert find_homomorphism(source, Hypergraph(0, 2, ())) is None
+        assert find_homomorphism(Hypergraph(0, 2, ()), Hypergraph(0, 2, ())) is not None
 
     def test_uniformity_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -195,6 +202,12 @@ class TestReduceToMaxDegree3:
                 degs = rep.degrees()
                 assert degs[x] == 1 and degs[y] == 2
                 assert not any(e >> x & 1 and e >> y & 1 for e in rep.edges)
+
+    def test_fold_pair_needs_a_degree_one_vertex(self):
+        from turankit.morphisms import _fold_pair
+
+        with pytest.raises(ValueError, match="no admissible fold pair"):
+            _fold_pair(K3, 0b111)
 
     def test_uniformity_two_rejected(self):
         with pytest.raises(ValueError):

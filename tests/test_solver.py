@@ -219,6 +219,16 @@ class TestSolveExact:
         cut = solve_exact(forbidden_triples(K3, 11), budget_nodes=500)
         assert (cut.optimum, cut.nodes, cut.status) == (30, 500, STATUS_LOWER_BOUND)
 
+    def test_node_budget_of_n_allows_n_nodes(self):
+        # The triangle's proofs at n = 5..8 take 7, 19, 31 and 91 nodes: a
+        # budget of exactly that many proves them, one fewer cuts them there.
+        for n, nodes in ((5, 7), (6, 19), (7, 31), (8, 91)):
+            system = forbidden_triples(K3, n)
+            exact = solve_exact(system, budget_nodes=nodes)
+            assert (exact.nodes, exact.status) == (nodes, STATUS_OPTIMAL)
+            cut = solve_exact(system, budget_nodes=nodes - 1)
+            assert (cut.nodes, cut.status) == (nodes - 1, STATUS_LOWER_BOUND)
+
     def test_matches_reference_search(self):
         # Every r=2,3 class at n = support .. support+2 with conflicts and at
         # most 35 ground edges: same optimum, node count and witness as the
@@ -553,6 +563,15 @@ class TestCache:
         cache.append(six)
         assert cache.records() == [five, six]
         assert ResultCache(str(path)).lookup(five.family_profile, 5) == five
+
+    def test_short_write_raises(self, tmp_path, monkeypatch):
+        # A second write could land after another writer's line, so a short
+        # write is reported, not finished.
+        path = tmp_path / "cache.jsonl"
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:-1]))
+        with pytest.raises(OSError, match=f"short write to {path}"):
+            ResultCache(str(path)).append(solve_exact(forbidden_triples(K3, 5, "triangle")))
 
     def test_corrupt_line_in_later_read_keeps_absolute_number(self, tmp_path):
         path = tmp_path / "cache.jsonl"
