@@ -282,10 +282,9 @@ def _solve_range(args, n_values: list[int]) -> tuple[str, list[SolveRecord]]:
     f, name = _resolve_family(args)
     nodes = _budget(args.budget_nodes, ENV_BUDGET_NODES, int)
     secs = _budget(args.budget_secs, ENV_BUDGET_SECS, float)
-    seeds = {}
     # An expanded triangle is its own r-suspension, of width r/2.
-    if args.seed_construction and suspension_width(pattern_profile(f), f.r) == f.r / 2:
-        seeds = {n: max_odd_bipartite(n, f.r)[1] for n in n_values if n >= f.r}
+    seeded = args.seed_construction and suspension_width(pattern_profile(f), f.r) == f.r / 2
+    seeds = {n: max_odd_bipartite(n, f.r)[1] for n in n_values if seeded}
     records = density_sequence(
         f,
         n_values,
@@ -433,9 +432,10 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--input", help="base hypergraph file (suspension)")
-    p.add_argument("--part1", help="comma-separated part1 vertices (odd-bipartite)")
-    p.add_argument("--part1-size", type=int, dest="part1_size")
-    p.add_argument("--best", action="store_true", help="pick the edge-maximizing part sizes")
+    part = p.add_mutually_exclusive_group()
+    part.add_argument("--part1", help="comma-separated part1 vertices (odd-bipartite)")
+    part.add_argument("--part1-size", type=int, dest="part1_size")
+    part.add_argument("--best", action="store_true", help="pick the edge-maximizing part sizes")
     p.add_argument("--output")
     p.set_defaults(func=cmd_construct)
 

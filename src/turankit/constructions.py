@@ -12,6 +12,7 @@ from typing import Iterable
 
 from .hypergraph import (
     Hypergraph,
+    check_build,
     check_capacity,
     checked_edge_mask,
     edge_mask,
@@ -69,8 +70,6 @@ def suspension(f: Hypergraph, r: int) -> Hypergraph:
     s = f.r
     if r < s:
         raise ValueError(f"target uniformity {r} below current uniformity {s}")
-    if r == s:
-        return f
     extra = r - s
     check_capacity(f.n + extra, r)
     apex = ((1 << extra) - 1) << f.n
@@ -109,19 +108,13 @@ def odd_bipartite_count(n: int, part1_size: int, uniformity: int) -> int:
 def max_odd_bipartite(n: int, uniformity: int) -> tuple[Partition, Hypergraph, int]:
     """Edge-maximizing complete odd-bipartite hypergraph on n vertices.
 
-    Scans all part sizes (the count depends only on |part1|) and breaks ties
-    toward the more balanced partition. Returns the winning partition, its
-    hypergraph, and the edge count.
+    Scans part1 sizes t <= n/2 (the count depends only on t); ties go to the
+    larger t, the more balanced partition. Returns the winning partition, its
+    hypergraph (edgeless when n < uniformity), and the edge count.
     """
     check_even_uniformity(uniformity)
     check_capacity(n, uniformity)
-    best = None
-    for t in range(n // 2 + 1):
-        count = odd_bipartite_count(n, t, uniformity)
-        imbalance = n - 2 * t
-        if best is None or count > best[0] or (count == best[0] and imbalance < best[1]):
-            best = (count, imbalance, t)
-    count, _, t = best
+    count, t = max((odd_bipartite_count(n, t, uniformity), t) for t in range(n // 2 + 1))
     partition = Partition(n, (1 << t) - 1)
     return partition, odd_bipartite(partition, uniformity), count
 
@@ -134,8 +127,7 @@ def matching(r: int, m: int) -> Hypergraph:
 
 
 def complete_rgraph(n: int, r: int) -> Hypergraph:
-    """All C(n, r) possible edges."""
-    if n < r:
-        raise ValueError(f"need n >= r, got n={n}, r={r}")
+    """All C(n, r) possible edges, none when n < r; checked before building."""
     check_capacity(n, r)
+    check_build(comb(n, r), "r-sets")
     return from_masks(n, r, (edge_mask(c) for c in itertools.combinations(range(n), r)))

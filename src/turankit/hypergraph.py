@@ -11,9 +11,11 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from math import factorial, perm, prod
 from typing import Iterable, Iterator, Optional
 
 MAX_VERTICES = 64
+MAX_BUILD = 10_000_000  # r-sets or conflicts, at about 1.2 µs and 85 B each
 
 
 def check_capacity(n: int, r: int = 1) -> None:
@@ -23,6 +25,12 @@ def check_capacity(n: int, r: int = 1) -> None:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     if not 1 <= r <= MAX_VERTICES:
         raise ValueError(f"uniformity {r} outside 1..{MAX_VERTICES}")
+
+
+def check_build(count: int, items: str) -> None:
+    """The one build limit (r-sets or conflicts), checked after check_capacity."""
+    if count > MAX_BUILD:
+        raise ValueError(f"{count:,} {items} exceed the build limit {MAX_BUILD:,}")
 
 
 def edge_mask(vertices: Iterable[int]) -> int:
@@ -276,6 +284,13 @@ def pattern_profile(f: Hypergraph) -> tuple[int, ...]:
     if len(f.edges) != 3:
         raise ValueError(f"need exactly 3 edges, got {len(f.edges)}")
     return canonical_regions(*f.edges)
+
+
+def copy_count(profile: tuple[int, ...], n: int) -> int:
+    """Copies of the three-edge class with this region profile in K_n^(r): its
+    region placements on [n] over the edge orders that fix the profile."""
+    placements = perm(n, sum(profile)) // prod(map(factorial, profile))
+    return placements // sum(g(profile) == profile for g in _S3_GETTERS)
 
 
 def suspension_width(profile: tuple[int, ...], r: int) -> Optional[int]:

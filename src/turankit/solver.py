@@ -30,8 +30,11 @@ from .constructions import complete_rgraph
 from .hypergraph import (
     MAX_VERTICES,
     Hypergraph,
+    check_build,
+    check_capacity,
     checked_edge_mask,
     copies_of,
+    copy_count,
     edge_vertices,
     from_masks,
     pattern_profile,
@@ -138,19 +141,18 @@ _edge_mask_memo = lru_cache(maxsize=1 << 12, typed=True)(checked_edge_mask)
 def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSystem:
     """Materialize the conflict system of the three-edge pattern f on [n].
 
-    When n is smaller than f's support the conflict list is empty.
+    No conflicts below f's support; sizes and copy_count are checked first.
     """
     profile = pattern_profile(f)
     r = f.r
-    complete = complete_rgraph(n, r) if n >= r else Hypergraph(n, r, ())
-    ground = complete.edges
-    if n < f.support_size:
-        return TripleSystem(n, r, ground, (), profile, family_name)
+    check_capacity(n, r)
+    check_build(copy_count(profile, n), "conflicts")
+    complete = complete_rgraph(n, r)
     # The ground is ascending and copies_of yields ascending triples in
     # lexicographic order, so the index triples come out sorted.
-    index = {mask: i for i, mask in enumerate(ground)}
+    index = {mask: i for i, mask in enumerate(complete.edges)}
     conflicts = tuple((index[a], index[b], index[c]) for a, b, c in copies_of(f, complete))
-    return TripleSystem(n, r, ground, conflicts, profile, family_name)
+    return TripleSystem(n, r, complete.edges, conflicts, profile, family_name)
 
 
 def _violates(conflicts: Sequence[tuple[int, int, int]], mask: int) -> bool:

@@ -44,14 +44,13 @@ class DeviationReport:
 def deviation(h: Hypergraph, partition: Partition) -> DeviationReport:
     """Exact bad/missing decomposition of h against the partition.
 
-    The symmetric difference of h and odd_bipartite(partition, h.r), with
-    both edge tuples ascending by bit vector like Hypergraph.edges. With
-    fewer vertices than r there are no r-sets and the report is empty.
+    The symmetric difference of h and odd_bipartite(partition, h.r) (which
+    checks the uniformity), both edge tuples ascending like Hypergraph.edges;
+    empty when n < r, where both are edgeless.
     """
-    check_even_uniformity(h.r)
     if partition.n != h.n:
         raise ValueError(f"partition is over {partition.n} vertices, hypergraph over {h.n}")
-    complete = odd_bipartite(partition, h.r).edges if h.n >= h.r else ()
+    complete = odd_bipartite(partition, h.r).edges
     present, odd = h.edge_set(), frozenset(complete)
     bad = tuple(e for e in h.edges if e not in odd)
     missing = tuple(e for e in complete if e not in present)

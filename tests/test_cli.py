@@ -55,6 +55,10 @@ class TestConstruct:
         assert code == 0
         assert len(parse_hypergraph(out).edges) == 4
 
+    def test_complete_below_uniformity_is_edgeless(self, capsys):
+        code, out, _ = run(capsys, "construct", "--family", "complete", "--n", "2", "--r", "3")
+        assert (code, out) == (0, "n=2 r=3\n")
+
     def test_suspension_from_file(self, capsys, tmp_path):
         base = tmp_path / "base.hg"
         base.write_text(format_hypergraph(expanded_triangle(1)))
@@ -71,6 +75,22 @@ class TestConstruct:
         )
         assert code == 0
         assert parse_hypergraph(out) == odd_bipartite(Partition(6, 0b11), 4)
+
+    @pytest.mark.parametrize(
+        "part_flags, message",
+        [
+            (("--part1", "0,1", "--best"), "argument --best: not allowed with argument --part1"),
+            (("--part1", "0,1", "--part1-size", "3"),
+             "argument --part1-size: not allowed with argument --part1"),
+            (("--part1-size", "3", "--best"), "argument --best: not allowed with argument --part1-size"),
+        ],
+        ids=["part1-best", "part1-part1-size", "part1-size-best"],
+    )
+    def test_odd_bipartite_part_flags_are_one_of(self, capsys, part_flags, message):
+        code, out, err = run(
+            capsys, "construct", "--family", "odd-bipartite", "--n", "6", "--k", "1", *part_flags
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_odd_bipartite_needs_a_part(self, capsys):
         code, out, err = run(capsys, "construct", "--family", "odd-bipartite", "--n", "6", "--k", "2")

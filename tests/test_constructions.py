@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from turankit import (
+    Hypergraph,
     Partition,
     complete_rgraph,
     copies_of,
@@ -68,6 +69,15 @@ class TestSuspension:
         with pytest.raises(ValueError):
             suspension(K3, 1)
 
+    @pytest.mark.parametrize(
+        "f",
+        [expanded_triangle(2), matching(3, 2), make_hypergraph(7, 3, [[0, 1, 2], [2, 3, 4]]),
+         Hypergraph(4, 5, ())],
+        ids=["expanded-triangle-2", "matching", "isolated-vertices", "edgeless"],
+    )
+    def test_zero_apexes_give_an_equal_hypergraph(self, f):
+        assert suspension(f, f.r) == f
+
     def test_link_of_single_apex_recovers_base(self):
         for base in (K3, expanded_triangle(2)):
             hat = suspension(base, base.r + 1)
@@ -100,6 +110,9 @@ class TestOddBipartite:
     def test_odd_uniformity_rejected(self):
         with pytest.raises(ValueError):
             odd_bipartite(Partition.from_part1(6, [0]), 3)
+
+    def test_fewer_vertices_than_uniformity_is_edgeless(self):
+        assert odd_bipartite(Partition(3, 1), 4).edges == ()
 
     def test_closed_form_matches_materialization(self):
         for n in range(4, 9):
@@ -144,9 +157,11 @@ class TestMaxOddBipartite:
             counts = [max_odd_bipartite(n, uniformity)[2] for n in range(uniformity, 12)]
             assert counts == sorted(counts)
 
-    def test_too_few_vertices_rejected(self):
-        with pytest.raises(ValueError):
-            max_odd_bipartite(3, 4)
+    def test_too_few_vertices_edgeless(self):
+        # Every part size counts 0; the tie goes to the more balanced partition.
+        part, h, count = max_odd_bipartite(3, 4)
+        assert part.sizes == (1, 2)
+        assert h == Hypergraph(3, 4, ()) and count == 0
 
 
 class TestHelpers:
@@ -159,9 +174,8 @@ class TestHelpers:
         assert len(complete_rgraph(4, 3).edges) == 4
         assert len(complete_rgraph(6, 4).edges) == 15
 
-    def test_complete_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            complete_rgraph(2, 3)
+    def test_complete_too_small_is_edgeless(self):
+        assert complete_rgraph(2, 3) == Hypergraph(2, 3, ())
 
 
 class TestParityFreeness:
@@ -205,17 +219,15 @@ class TestPartition:
         (lambda: Partition(65, 1), r"vertex count 65 outside 0\.\.64"),
         (lambda: expanded_triangle(22), r"vertex count 66 outside 0\.\.64"),
         (lambda: suspension(K3, 64), r"vertex count 65 outside 0\.\.64"),
-        (lambda: odd_bipartite(Partition(3, 1), 4), "need n >= r, got n=3, r=4"),
         (lambda: max_odd_bipartite(6, 3), "uniformity must be even and >= 2, got 3"),
         (lambda: matching(3, -1), r"vertex count -3 outside 0\.\.64"),
-        # capacity is checked before any edge is built, after the n >= r check
+        # capacity is checked before any edge is built
         (lambda: matching(2, 60000), r"vertex count 120000 outside 0\.\.64"),
         (lambda: complete_rgraph(65, 6), r"vertex count 65 outside 0\.\.64"),
-        (lambda: complete_rgraph(65, 66), "need n >= r, got n=65, r=66"),
+        (lambda: complete_rgraph(65, 66), r"vertex count 65 outside 0\.\.64"),
     ],
-    ids=["partition-65", "expanded-triangle-22", "suspension-65", "odd-bipartite-small-n",
-         "max-odd-bipartite-odd-r", "matching-negative", "matching-120000",
-         "complete-65", "complete-n-below-r"],
+    ids=["partition-65", "expanded-triangle-22", "suspension-65", "max-odd-bipartite-odd-r",
+         "matching-negative", "matching-120000", "complete-65", "complete-n-below-r"],
 )
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):

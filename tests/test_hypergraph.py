@@ -36,7 +36,7 @@ from turankit import (
     suspension,
 )
 from turankit.catalog import realize_profile
-from turankit.hypergraph import MAX_VERTICES, suspension_width
+from turankit.hypergraph import MAX_BUILD, MAX_VERTICES, copy_count, suspension_width
 
 from helpers import brute_force_copies, permutation_isomorphic
 
@@ -335,43 +335,54 @@ def test_input_checks(build, message):
 
 
 BIG = 10**8
+OUTSIDE = "outside"
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        lambda: Hypergraph(BIG, 2, ()),
-        lambda: Hypergraph(3, BIG, ()),
-        lambda: make_hypergraph(BIG, 2, [[0, BIG - 1]]),
-        lambda: make_hypergraph(3, BIG, []),
-        lambda: parse_hypergraph(f"n={BIG} r=2\n0 {BIG - 1}\n"),
-        lambda: parse_hypergraph(f"n=3 r={BIG}\n"),
-        lambda: Partition(BIG, 1),
-        lambda: Partition.from_part1(BIG, [0, BIG - 1]),
-        lambda: Partition.from_part1(6, [0, BIG]),
-        lambda: expanded_triangle(BIG),
-        lambda: suspension(K3, BIG),
-        lambda: matching(2, BIG),
-        lambda: matching(BIG, 1),
-        lambda: complete_rgraph(BIG, 2),
-        lambda: max_odd_bipartite(BIG, 4),
-        lambda: max_odd_bipartite(6, BIG),
-        lambda: forbidden_triples(K3, BIG),
-        lambda: solve_family(K3, BIG),
-        lambda: density_sequence(K3, [BIG]),
+        (lambda: Hypergraph(BIG, 2, ()), OUTSIDE),
+        (lambda: Hypergraph(3, BIG, ()), OUTSIDE),
+        (lambda: make_hypergraph(BIG, 2, [[0, BIG - 1]]), OUTSIDE),
+        (lambda: make_hypergraph(3, BIG, []), OUTSIDE),
+        (lambda: parse_hypergraph(f"n={BIG} r=2\n0 {BIG - 1}\n"), OUTSIDE),
+        (lambda: parse_hypergraph(f"n=3 r={BIG}\n"), OUTSIDE),
+        (lambda: Partition(BIG, 1), OUTSIDE),
+        (lambda: Partition.from_part1(BIG, [0, BIG - 1]), OUTSIDE),
+        (lambda: Partition.from_part1(6, [0, BIG]), OUTSIDE),
+        (lambda: expanded_triangle(BIG), OUTSIDE),
+        (lambda: suspension(K3, BIG), OUTSIDE),
+        (lambda: matching(2, BIG), OUTSIDE),
+        (lambda: matching(BIG, 1), OUTSIDE),
+        (lambda: complete_rgraph(BIG, 2), OUTSIDE),
+        (lambda: max_odd_bipartite(BIG, 4), OUTSIDE),
+        (lambda: max_odd_bipartite(6, BIG), OUTSIDE),
+        (lambda: forbidden_triples(K3, BIG), OUTSIDE),
+        (lambda: solve_family(K3, BIG), OUTSIDE),
+        (lambda: density_sequence(K3, [BIG]), OUTSIDE),
+        # Inside the size rule, builds over MAX_BUILD r-sets or conflicts.
+        (lambda: complete_rgraph(30, 15), "^155,117,520 r-sets exceed the build limit 10,000,000$"),
+        (lambda: max_odd_bipartite(64, 32), "^1,832,624,140,942,590,534 r-sets exceed"),
+        (lambda: forbidden_triples(matching(20, 3), 40), "^137,846,528,820 r-sets exceed"),
+        (lambda: forbidden_triples(matching(2, 3), 40),
+         "^57,575,700 conflicts exceed the build limit 10,000,000$"),
+        (lambda: solve_family(suspension(expanded_triangle(2), 44), 46), "^140,502,285 conflicts exceed"),
     ],
     ids=["hypergraph-n", "hypergraph-r", "make-n", "make-r", "parse-n", "parse-r",
          "partition-n", "from-part1-n", "from-part1-vertex", "expanded-triangle",
          "suspension", "matching-m", "matching-r", "complete", "max-odd-bipartite-n",
-         "max-odd-bipartite-r", "forbidden-triples", "solve-family", "density-sequence"],
+         "max-odd-bipartite-r", "forbidden-triples", "solve-family", "density-sequence",
+         "complete-r-sets", "max-odd-bipartite-r-sets", "forbidden-triples-r-sets",
+         "forbidden-triples-conflicts", "solve-family-conflicts"],
 )
-def test_sizes_checked_before_building(build):
+def test_sizes_checked_before_building(build, message):
     # A size of 10**8 is refused before anything of that size is built or
-    # scanned: a mask 1 << 10**8 alone is 12.5 MB.
+    # scanned: a mask 1 << 10**8 alone is 12.5 MB. So is a build of more
+    # than MAX_BUILD r-sets or conflicts, which would take seconds and GBs.
     tracemalloc.start()
     start = time.monotonic()
     try:
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=message):
             build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -396,3 +407,30 @@ def test_sizes_checked_before_building(build):
 def test_three_edge_rule_has_one_wording(call):
     with pytest.raises(ValueError, match="^need exactly 3 edges, got 2$"):
         call(matching(3, 2))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_copy_count_is_the_conflict_count(r):
+    # Every r-class at n = 0..8, below and above its support.
+    for entry in enumerate_three_edge(r).entries:
+        f = entry.representative
+        for n in range(9):
+            assert copy_count(entry.profile.as_tuple(), n) == len(forbidden_triples(f, n).conflicts)
+
+
+def test_copy_count_of_the_triangle():
+    assert copy_count(canonical_regions(*K3.edges), 30) == 4060
+    assert len(forbidden_triples(K3, 30).conflicts) == 4060
+
+
+def test_build_limit_boundary(monkeypatch):
+    assert MAX_BUILD == 10_000_000
+    # K_6^(2) has 15 r-sets and K_6 holds 20 triangles.
+    monkeypatch.setattr("turankit.hypergraph.MAX_BUILD", 20)
+    assert len(forbidden_triples(K3, 6).conflicts) == 20
+    assert len(complete_rgraph(6, 3).edges) == 20
+    monkeypatch.setattr("turankit.hypergraph.MAX_BUILD", 19)
+    with pytest.raises(ValueError, match="^20 conflicts exceed the build limit 19$"):
+        forbidden_triples(K3, 6)
+    with pytest.raises(ValueError, match="^20 r-sets exceed the build limit 19$"):
+        complete_rgraph(6, 3)
