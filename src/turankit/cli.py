@@ -284,7 +284,7 @@ def _solve_range(args, n_values: list[int]) -> tuple[str, list[SolveRecord]]:
     secs = _budget(args.budget_secs, ENV_BUDGET_SECS, float)
     # An expanded triangle is its own r-suspension, of width r/2.
     seeded = args.seed_construction and suspension_width(pattern_profile(f), f.r) == f.r / 2
-    seeds = {n: max_odd_bipartite(n, f.r)[1] for n in n_values if seeded}
+    seeds = {n: max_odd_bipartite(n, f.r)[1] for n in n_values} if seeded else {}
     records = density_sequence(
         f,
         n_values,

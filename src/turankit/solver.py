@@ -141,18 +141,18 @@ _edge_mask_memo = lru_cache(maxsize=1 << 12, typed=True)(checked_edge_mask)
 def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSystem:
     """Materialize the conflict system of the three-edge pattern f on [n].
 
-    No conflicts below f's support; sizes and copy_count are checked first.
+    Sizes and copy_count are checked first, and a count of 0 scans nothing.
     """
     profile = pattern_profile(f)
-    r = f.r
-    check_capacity(n, r)
-    check_build(copy_count(profile, n), "conflicts")
-    complete = complete_rgraph(n, r)
+    check_capacity(n, f.r)
+    count = copy_count(profile, n)
+    check_build(count, "conflicts")
+    complete = complete_rgraph(n, f.r)
     # The ground is ascending and copies_of yields ascending triples in
     # lexicographic order, so the index triples come out sorted.
     index = {mask: i for i, mask in enumerate(complete.edges)}
-    conflicts = tuple((index[a], index[b], index[c]) for a, b, c in copies_of(f, complete))
-    return TripleSystem(n, r, complete.edges, conflicts, profile, family_name)
+    conflicts = tuple((index[a], index[b], index[c]) for a, b, c in copies_of(f, complete)) if count else ()
+    return TripleSystem(n, f.r, complete.edges, conflicts, profile, family_name)
 
 
 def _violates(conflicts: Sequence[tuple[int, int, int]], mask: int) -> bool:

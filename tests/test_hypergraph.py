@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -389,6 +390,20 @@ def test_sizes_checked_before_building(build, message):
         tracemalloc.stop()
     assert time.monotonic() - start < 1
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "f, n",
+    [(matching(6, 3), 17), (suspension(expanded_triangle(20), 42), 45)],
+    ids=["matching-r6", "suspended-triangle-r42"],
+)
+def test_no_pair_scan_below_the_support(f, n):
+    # copy_count is 0 below the support, so the ground's pairs are not
+    # scanned: 76M pairs for matching r=6 at n=17, 100M for the r=42 class.
+    start = time.monotonic()
+    system = forbidden_triples(f, n)
+    assert time.monotonic() - start < 1
+    assert system.conflicts == () and len(system.ground) == comb(n, f.r)
 
 
 @pytest.mark.parametrize(
