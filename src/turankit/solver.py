@@ -4,8 +4,10 @@ The problem is encoded as a maximum independent set in a 3-uniform conflict
 system: the ground set holds all C(n, r) possible edges and each conflict
 triple marks three of them forming a copy of the forbidden pattern. Solving
 is branch and bound over include/exclude decisions per ground edge, with a
-greedy disjoint-conflict packing bound, root-level symmetry breaking, and an
-append-only JSONL result cache keyed by the pattern's region profile.
+greedy disjoint-conflict packing bound, root-level symmetry breaking, an
+optional cap that stops the search (density sequences take it from the
+n - 1 optimum they just proved), and an append-only JSONL result cache
+keyed by the pattern's region profile.
 
 The search state is a handful of Python ints used as bitsets: included and
 excluded edges over the ground set, and the active and hit conflicts over
@@ -46,9 +48,15 @@ DEFAULT_BUDGET_SECS = 300.0
 
 STATUS_OPTIMAL = "proved-optimal"
 STATUS_LOWER_BOUND = "lower-bound-only"
+CLOSED_BY_SEARCH = "search"
+CLOSED_BY_CAP = "cap"
 
 
 class _BudgetExhausted(Exception):
+    pass
+
+
+class _CapReached(Exception):
     pass
 
 
@@ -75,7 +83,10 @@ class SolveRecord:
     """Result of one exact computation: the optimum (or best lower bound on
     budget exhaustion), a verified pattern-free witness, and search stats.
 
-    The field order is the key order of the JSON object (a cache line)."""
+    closed_by says how a proof closed: "search" when the search ran out of
+    nodes to explore, "cap" when the incumbent met the upper bound passed
+    to solve_exact. The field order is the key order of the JSON object (a
+    cache line), which holds closed_by only when it is "cap"."""
 
     family_profile: tuple[int, ...]
     family_name: str
@@ -87,6 +98,7 @@ class SolveRecord:
     nodes: int
     millis: int
     version: str
+    closed_by: str = CLOSED_BY_SEARCH
 
     @property
     def proved_optimal(self) -> bool:
@@ -100,18 +112,23 @@ class SolveRecord:
         return Fraction(self.optimum, total) if total else Fraction(0)
 
     def to_json_dict(self) -> dict:
-        return dict(
+        obj = dict(
             vars(self),
             family_profile=list(self.family_profile),
             witness=[edge_vertices(e) for e in self.witness],
         )
+        if self.closed_by == CLOSED_BY_SEARCH:
+            del obj["closed_by"]  # so lines without the key stay byte-identical
+        return obj
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SolveRecord":
         """Decode a cache line's object, the one check of a record: KeyError,
         TypeError or ValueError when it is not one. Keys that are not fields
-        are ignored, so a line from a later version still loads."""
+        are ignored, so a line from a later version still loads, and a
+        missing closed_by is "search"."""
         kw = {key: obj[key] for key in _RECORD_KEYS}
+        kw["closed_by"] = obj.get("closed_by", CLOSED_BY_SEARCH)
         profile = kw["family_profile"] = tuple(kw["family_profile"])
         n, r, optimum, edges = kw["n"], kw["r"], kw["optimum"], kw["witness"]
         counts = (n, r, optimum, kw["nodes"], kw["millis"], *profile)
@@ -124,6 +141,9 @@ class SolveRecord:
             == profile[1] + profile[3] + profile[5] + profile[6]
             == profile[2] + profile[4] + profile[5] + profile[6]
             and kw["status"] in (STATUS_OPTIMAL, STATUS_LOWER_BOUND)
+            # only a proof closes by the cap
+            and (kw["closed_by"] == CLOSED_BY_SEARCH
+                 or kw["closed_by"] == CLOSED_BY_CAP and kw["status"] == STATUS_OPTIMAL)
             and type(kw["family_name"]) is str and type(kw["version"]) is str
             and optimum == len(edges)
             and optimum == len(witness := {*starmap(partial(_edge_mask_memo, n, r), edges)})
@@ -133,7 +153,7 @@ class SolveRecord:
         return cls(**kw)
 
 
-_RECORD_KEYS = tuple(f.name for f in fields(SolveRecord))
+_RECORD_KEYS = tuple(f.name for f in fields(SolveRecord) if f.name != "closed_by")
 # Cache lines repeat a few hundred distinct edges. typed: False or 3.0 is not a hit for 0 or 3.
 _edge_mask_memo = lru_cache(maxsize=1 << 12, typed=True)(checked_edge_mask)
 
@@ -193,6 +213,7 @@ def solve_exact(
     budget_nodes: int | None = None,
     budget_secs: float | None = None,
     seed_witness: Optional[Hypergraph | Iterable[int]] = None,
+    cap: int | None = None,
 ) -> SolveRecord:
     """Branch and bound for the maximum conflict-free subset of the ground set.
 
@@ -205,6 +226,13 @@ def solve_exact(
     either way. budget_nodes must be at least 1 (a budget of N allows N
     nodes) and budget_secs a non-negative number (0.0 stops at the first
     deadline poll); anything else raises ValueError.
+
+    cap, when given, is a stop rule: the caller vouches that no
+    conflict-free subset is larger, so the search stops, proved optimal
+    with closed_by "cap", as soon as the incumbent reaches it (a seed that
+    meets it takes 0 nodes). The proof is then only as sound as the cap;
+    an incumbent above it raises ValueError. Without a cap, nodes,
+    witnesses and records are those of the plain search.
 
     A conflict is active while none of its edges is excluded, and the search
     carries hit, the conflicts containing an included edge. Including edge e
@@ -242,20 +270,30 @@ def solve_exact(
     best_mask = seed_mask
     nodes = 0
     status = STATUS_OPTIMAL
+    closed_by = CLOSED_BY_SEARCH
     full = (1 << m) - 1
+    # No subset exceeds m, so m + 1 never stops an uncapped search.
+    stop_at = m + 1 if cap is None else cap
 
-    if not conflicts:
+    if best_val >= stop_at:
+        closed_by = CLOSED_BY_CAP
+    elif not conflicts:
         best_val, best_mask = m, full
     else:
         # Conflict ci is bit last - ci of the conflict bitsets, so the
         # lowest-index conflict of a set is its top bit, read in O(1).
+        # Each edge's bitset is set byte by byte and converted once, which
+        # is linear in the conflict count; OR-ing bits into growing ints
+        # is quadratic.
         last = len(conflicts) - 1
-        membership = [0] * m
-        for ci, (a, b, c) in enumerate(conflicts):
-            bit = 1 << (last - ci)
-            membership[a] |= bit
-            membership[b] |= bit
-            membership[c] |= bit
+        rows = [bytearray(last // 8 + 1) for _ in range(m)]
+        for ci, triple in enumerate(conflicts):
+            byte, flag = divmod(last - ci, 8)
+            flag = 1 << flag
+            for e in triple:
+                rows[e][byte] |= flag
+        membership = [int.from_bytes(row, "little") for row in rows]
+        del rows
         all_conflicts = (1 << len(conflicts)) - 1
         keep = [all_conflicts & ~mem for mem in membership]
 
@@ -287,6 +325,8 @@ def solve_exact(
                 if val > best_val:
                     best_val = val
                     best_mask = full & ~exc
+                    if val >= stop_at:
+                        raise _CapReached
                 return
             inc_count = inc.bit_count()
             undecided = m - inc_count - exc_count
@@ -344,12 +384,16 @@ def solve_exact(
             dfs(*include(0, 0, all_conflicts, 0, 0), all_conflicts, counts)
         except _BudgetExhausted:
             status = STATUS_LOWER_BOUND
+        except _CapReached:
+            closed_by = CLOSED_BY_CAP
 
     witness = tuple(
         system.ground[i] for i in range(m) if best_mask >> i & 1
     )
     if _violates(conflicts, best_mask):
         raise AssertionError("witness contains a forbidden triple")
+    if cap is not None and best_val > cap:
+        raise ValueError(f"a conflict-free subset of {best_val} edges exceeds the cap {cap}")
     millis = int((time.monotonic() - t0) * 1000)
     return SolveRecord(
         family_profile=system.family_profile,
@@ -362,6 +406,7 @@ def solve_exact(
         nodes=nodes,
         millis=millis,
         version=SOLVER_VERSION,
+        closed_by=closed_by,
     )
 
 
@@ -465,12 +510,20 @@ def solve_family(
     budget_nodes: int | None = None,
     budget_secs: float | None = None,
     seed_witness: Optional[Hypergraph | Iterable[int]] = None,
+    cap: int | None = None,
 ) -> SolveRecord:
     """Cache-aware wrapper: consult the cache first, otherwise build the
-    conflict system, solve, and append the result when proved optimal.
+    conflict system, solve (with the optional cap as solve_exact's stop
+    rule), and append the result when proved optimal.
     Budgets are checked before the cache is read, so a bad budget is refused
     whether or not the record is cached. A cached witness that contains a
     copy of f raises ValueError naming the cache file."""
+    return _lookup_or_solve(f, n, family_name, cache, budget_nodes, budget_secs, seed_witness, cap)[0]
+
+
+def _lookup_or_solve(f, n, family_name, cache, budget_nodes, budget_secs, seed_witness, cap):
+    """solve_family's record, and True when a search here proved or bounded
+    it (False for a cache hit)."""
     profile = pattern_profile(f)
     _check_budgets(budget_nodes, budget_secs)
     if cache is not None:
@@ -478,17 +531,18 @@ def solve_family(
         if hit is not None:
             if next(copies_of(f, hit.witness_hypergraph()), None) is not None:
                 raise ValueError(f"cached witness for n={n} contains the pattern in {cache.path}")
-            return hit
+            return hit, False
     system = forbidden_triples(f, n, family_name)
     record = solve_exact(
         system,
         budget_nodes=budget_nodes,
         budget_secs=budget_secs,
         seed_witness=seed_witness,
+        cap=cap,
     )
     if cache is not None and record.proved_optimal:
         cache.append(record)
-    return record
+    return record, True
 
 
 # -- density sequences -------------------------------------------------------
@@ -503,27 +557,33 @@ def density_sequence(
     budget_secs: float | None = None,
     seed_for: Optional[dict[int, Hypergraph | Iterable[int]]] = None,
 ) -> list[SolveRecord]:
-    """Solve a run of n values and audit the densities.
+    """Solve a run of n values in ascending order and audit the densities.
 
     The density ex(n)/C(n, r) of consecutive proved-optimal entries must be
     non-increasing; a violation raises, since it can only come from a solver
     bug. Entries that exhausted their budget, and entries with n < r, are
     kept but excluded from the audit.
+
+    When this call's search proved ex(n-1) and n > r, the solve at n stops
+    at the averaging cap floor(ex(n-1) * n / (n - r)): deleting a vertex of
+    a pattern-free r-graph on n vertices leaves one on n - 1, and each edge
+    survives n - r of the n deletions, so e * (n - r) <= n * ex(n-1)
+    (Katona, Nemetz and Simonovits, 1964). A cache hit gives no cap: its
+    check proves only that the witness is pattern-free, a lower bound, and
+    a cached optimum that is too low would make the cap unsound. Neither
+    does a lower-bound-only record or an n - 1 missing from n_values.
     """
     records = []
+    proved: dict[int, int] = {}  # n -> ex(n), proved by a search in this call
     for n in sorted(n_values):
-        seed = (seed_for or {}).get(n)
-        records.append(
-            solve_family(
-                f,
-                n,
-                family_name=family_name,
-                cache=cache,
-                budget_nodes=budget_nodes,
-                budget_secs=budget_secs,
-                seed_witness=seed,
-            )
+        prev = proved.get(n - 1)
+        cap = prev * n // (n - f.r) if prev is not None and n > f.r else None
+        record, searched = _lookup_or_solve(
+            f, n, family_name, cache, budget_nodes, budget_secs, (seed_for or {}).get(n), cap
         )
+        if searched and record.proved_optimal:
+            proved[n] = record.optimum
+        records.append(record)
     audit_density_monotone(records)
     return records
 

@@ -9,21 +9,32 @@ from turankit import Hypergraph, edge_mask, edge_vertices, from_masks
 
 
 def subset_scan_optimum(system) -> int:
-    """Largest conflict-free subset of the ground set, by scanning all 2^m
-    subsets. Usable up to m around 20."""
+    """Largest conflict-free subset of the ground set, by checking all 2^m
+    subsets. Usable up to m = 22.
+
+    A subset is a pair (H, L) of its high and low ground indices, and a
+    table marks the bad pairs, those holding some conflict. A conflict lies
+    in (H, L) when its high part hm is inside H and its low part inside L.
+    So each conflict marks the L of its own row hm, and a pass over the
+    high bits ORs every row hm into the rows of the supersets of hm."""
     import numpy as np
 
     m = len(system.ground)
     assert m <= 22, "subset scan oracle limited to small ground sets"
-    subsets = np.arange(1 << m, dtype=np.uint32)
-    ok = np.ones(1 << m, dtype=bool)
+    low = m // 2
+    high = m - low
+    lows = np.arange(1 << low)
+    bad = np.zeros((1 << high, 1 << low), dtype=bool)
     for a, b, c in system.conflicts:
-        cmask = np.uint32((1 << a) | (1 << b) | (1 << c))
-        ok &= (subsets & cmask) != cmask
-    pop = np.zeros(1 << m, dtype=np.uint8)
-    for bit in range(m):
-        pop += ((subsets >> np.uint32(bit)) & np.uint32(1)).astype(np.uint8)
-    return int(pop[ok].max())
+        mask = (1 << a) | (1 << b) | (1 << c)
+        part = mask & ((1 << low) - 1)
+        bad[mask >> low] |= (lows & part) == part
+    for bit in range(high):
+        rows = bad.reshape(-1, 2, 1 << bit, 1 << low)  # axis 1 is this bit of H
+        rows[:, 1] |= rows[:, 0]
+    size = np.array([bin(i).count("1") for i in range(1 << max(low, high))], dtype=np.int8)
+    sizes = size[: 1 << high, None] + size[None, : 1 << low]
+    return int(sizes[~bad].max())
 
 
 def permutation_isomorphic(f1: Hypergraph, f2: Hypergraph) -> bool:
@@ -301,4 +312,8 @@ NON_RECORDS = {
     "repeated-vertex": dict(K33_RECORD, witness=K33_RECORD["witness"][:-1] + [[2, 5, 5]]),
     "r-entries-one-vertex": dict(K33_RECORD, witness=K33_RECORD["witness"][:-1] + [[5, 5]]),
     "bool-vertex": dict(K33_RECORD, witness=[[False, 3]] + K33_RECORD["witness"][1:]),
+    # closed_by is "search" or "cap", and only a proof closes by the cap
+    "cap-on-lower-bound": dict(K33_RECORD, status="lower-bound-only", closed_by="cap"),
+    "unknown-closed-by": dict(K33_RECORD, closed_by="x"),
+    "list-closed-by": dict(K33_RECORD, closed_by=["cap"]),
 }

@@ -217,6 +217,16 @@ class TestSolveAndDensity:
         assert lines[0] == "n,optimum,density,density_float,status"
         assert len(lines) == 4
 
+    def test_density_json_says_how_each_proof_closed(self, capsys, tmp_path):
+        # n = 6 and 7 stop at the cap from the n - 1 proved just before.
+        code, out, _ = run(
+            capsys, "--format", "json", "--cache", str(tmp_path / "c.jsonl"),
+            "density", "--family", "triangle", "--n-from", "5", "--n-to", "7",
+        )
+        records = json.loads(out)["records"]
+        assert code == 0
+        assert [(r["optimum"], r.get("closed_by")) for r in records] == [(6, None), (9, "cap"), (12, "cap")]
+
     def test_density_range_starting_below_uniformity(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "--format", "csv", "--cache", str(tmp_path / "c.jsonl"),

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -32,6 +33,7 @@ from turankit import (
     export_ilp,
     forbidden_triples,
     make_hypergraph,
+    matching,
     max_odd_bipartite,
     solve_exact,
     solve_family,
@@ -39,6 +41,7 @@ from turankit import (
 )
 
 from helpers import (
+    K33_RECORD,
     NON_RECORDS,
     dpll_satisfiable,
     milp_optimum,
@@ -52,6 +55,7 @@ from turankit.catalog import realize_profile
 K3 = expanded_triangle(1)
 K4_MINUS = suspension(K3, 3)
 T4 = expanded_triangle(2)
+K33 = make_hypergraph(6, 2, K33_RECORD["witness"])
 
 
 class TestForbiddenTriples:
@@ -229,6 +233,20 @@ class TestSolveExact:
             cut = solve_exact(system, budget_nodes=nodes - 1)
             assert (cut.nodes, cut.status) == (nodes - 1, STATUS_LOWER_BOUND)
 
+    def test_setup_is_linear_in_the_conflict_count(self):
+        # One node on 278,460 conflicts. Setting each conflict's bit in ints
+        # that grow as they go is quadratic and took 2.1 s (Python 3.11, 2
+        # cores); each edge's bitset built once as bytes took 0.2 s.
+        system = forbidden_triples(matching(2, 3), 18)
+        assert len(system.conflicts) == 278_460
+        start = time.monotonic()
+        solve_exact(system, budget_nodes=1)
+        assert time.monotonic() - start < 1
+
+    def test_incumbent_above_the_cap_raises(self):
+        with pytest.raises(ValueError, match="9 edges exceeds the cap 8"):
+            solve_exact(forbidden_triples(K3, 6), seed_witness=K33, cap=8)
+
     def test_matches_reference_search(self):
         # Every r=2,3 class at n = support .. support+2 with conflicts and at
         # most 35 ground edges: same optimum, node count and witness as the
@@ -350,6 +368,73 @@ class TestDensitySequence:
         records = density_sequence(K3, [1, 2, 3, 4])
         assert [r.density() for r in records] == [0, 1, Fraction(2, 3), Fraction(2, 3)]
         assert all(r.proved_optimal for r in records)
+
+
+class TestAveragingCap:
+    """density_sequence stops the search at n at floor(ex(n-1) * n / (n - r))
+    when the same call's search proved ex(n-1)."""
+
+    def test_chain_closes_by_the_cap(self):
+        # Uncapped, n = 6 and 7 take 19 and 31 nodes.
+        records = density_sequence(K3, [5, 6, 7])
+        assert [(r.optimum, r.closed_by, r.nodes) for r in records] == [
+            (6, "search", 7), (9, "cap", 9), (12, "cap", 12),
+        ]
+        assert all(r.proved_optimal for r in records)
+
+    def test_seed_meeting_the_cap_takes_no_nodes(self):
+        # ex(5) = 6 caps n = 6 at 6 * 6 // 4 = 9, which K_{3,3} meets.
+        six = density_sequence(K3, [5, 6], seed_for={6: K33})[1]
+        assert (six.optimum, six.nodes, six.status, six.closed_by) == (9, 0, STATUS_OPTIMAL, "cap")
+        assert six.witness == K33.edges
+        direct = solve_family(K3, 6, seed_witness=K33, cap=9)
+        assert (direct.optimum, direct.nodes, direct.closed_by) == (9, 0, "cap")
+
+    def test_cached_optimum_gives_no_cap(self, tmp_path):
+        # A hand-written n = 5 line whose witness, the 5-cycle, is triangle
+        # free, so the hit passes its check; but ex(5) = 6. Its cap at n = 6,
+        # 5 * 6 // 4 = 7, would stop there with 7 and pass the audit. The
+        # search proves 9 instead, and the audit flags 5/10 < 9/15.
+        path = tmp_path / "cache.jsonl"
+        cycle = [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]
+        path.write_text(json.dumps(dict(K33_RECORD, n=5, optimum=5, witness=cycle)) + "\n")
+        cache = ResultCache(str(path))
+        with pytest.raises(RuntimeError, match="density increased from n=5"):
+            density_sequence(K3, [5, 6], cache=cache)
+        six = cache.records()[-1]
+        assert (six.n, six.optimum, six.status, six.closed_by) == (6, 9, STATUS_OPTIMAL, "search")
+
+    def test_lower_bound_gives_no_cap(self):
+        # 90 nodes bound ex(8) by 16 but do not prove it (91 do). A cap from
+        # the bound, 16 * 9 // 7 = 20 = ex(9), would prove n = 9 at once.
+        records = density_sequence(K3, [8, 9], budget_nodes=90)
+        assert [(r.optimum, r.status, r.closed_by) for r in records] == [
+            (16, STATUS_LOWER_BOUND, "search"), (20, STATUS_LOWER_BOUND, "search"),
+        ]
+
+    def test_gap_gives_no_cap(self):
+        seven = density_sequence(K3, [5, 7])[1]
+        assert (seven.optimum, seven.closed_by, seven.nodes) == (12, "search", 31)
+
+    def test_n_equal_to_r_gives_no_cap(self):
+        # n - r = 0 at n = 2; n = 3 then takes the loose cap 1 * 3 // 1 = 3.
+        records = density_sequence(K3, [1, 2, 3])
+        assert [(r.optimum, r.closed_by) for r in records] == [(0, "search"), (1, "search"), (2, "search")]
+
+    def test_capped_chains_match_uncapped_search_and_subset_scan(self):
+        # Every r=2..5 class from its support up to the last n with at most
+        # 22 ground edges.
+        instances = closed_by_cap = 0
+        for r in (2, 3, 4, 5):
+            for entry in enumerate_three_edge(r).entries:
+                f = entry.representative
+                ns = [n for n in range(f.support_size, 8) if comb(n, r) <= 22]
+                for record in density_sequence(f, ns):
+                    system = forbidden_triples(f, record.n)
+                    assert record.optimum == solve_exact(system).optimum == subset_scan_optimum(system)
+                    instances += 1
+                    closed_by_cap += record.closed_by == "cap"
+        assert (instances, closed_by_cap) == (42, 10)
 
 
 class TestSuspensionInequality:
@@ -682,6 +767,22 @@ class TestCache:
         records = ResultCache(str(path)).records()
         assert len(records) == 400
         assert sorted({rec.family_name[0] for rec in records}) == ["a", "b"]
+
+    def test_line_without_closed_by_loads_as_search(self):
+        line = json.dumps(solve_exact(forbidden_triples(K3, 6)).to_json_dict(), separators=(",", ":"))
+        assert '"closed_by"' not in line
+        record = SolveRecord.from_json_dict(json.loads(line))
+        assert record.closed_by == "search"
+        assert json.dumps(record.to_json_dict(), separators=(",", ":")) == line
+
+    def test_capped_record_round_trips(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        records = density_sequence(K3, [5, 6], family_name="triangle", cache=ResultCache(str(path)))
+        assert [r.closed_by for r in records] == ["search", "cap"]
+        lines = path.read_text().splitlines()
+        assert '"closed_by"' not in lines[0]
+        assert lines[1].endswith('"version":"1","closed_by":"cap"}')
+        assert ResultCache(str(path)).records() == records
 
     def test_json_schema_round_trip(self):
         record = solve_exact(forbidden_triples(K4_MINUS, 5, "k4minus"))
