@@ -510,20 +510,20 @@ def solve_family(
     budget_nodes: int | None = None,
     budget_secs: float | None = None,
     seed_witness: Optional[Hypergraph | Iterable[int]] = None,
-    cap: int | None = None,
 ) -> SolveRecord:
     """Cache-aware wrapper: consult the cache first, otherwise build the
-    conflict system, solve (with the optional cap as solve_exact's stop
-    rule), and append the result when proved optimal.
+    conflict system, solve, and append the result when proved optimal.
     Budgets are checked before the cache is read, so a bad budget is refused
     whether or not the record is cached. A cached witness that contains a
     copy of f raises ValueError naming the cache file."""
-    return _lookup_or_solve(f, n, family_name, cache, budget_nodes, budget_secs, seed_witness, cap)[0]
+    return _lookup_or_solve(f, n, family_name, cache, budget_nodes, budget_secs, seed_witness, None)[0]
 
 
 def _lookup_or_solve(f, n, family_name, cache, budget_nodes, budget_secs, seed_witness, cap):
-    """solve_family's record, and True when a search here proved or bounded
-    it (False for a cache hit)."""
+    """solve_family's record, solved with cap as solve_exact's stop rule,
+    and True when a search here proved or bounded it (False for a cache
+    hit). A capped proof is cached like any other, so only density_sequence
+    passes a cap, one it proved itself."""
     profile = pattern_profile(f)
     _check_budgets(budget_nodes, budget_secs)
     if cache is not None:
@@ -561,8 +561,12 @@ def density_sequence(
 
     The density ex(n)/C(n, r) of consecutive proved-optimal entries must be
     non-increasing; a violation raises, since it can only come from a solver
-    bug. Entries that exhausted their budget, and entries with n < r, are
-    kept but excluded from the audit.
+    bug or a cached optimum that is too low. Entries that exhausted their
+    budget, and entries with n < r, are kept but excluded from the audit.
+    An entry solved under the cap below passes it by construction, whether
+    or not it stopped there, so in a capped chain only an independent check
+    (the tests compare against uncapped search and a subset scan) catches
+    an ex(n-1) that is too low.
 
     When this call's search proved ex(n-1) and n > r, the solve at n stops
     at the averaging cap floor(ex(n-1) * n / (n - r)): deleting a vertex of
@@ -590,7 +594,13 @@ def density_sequence(
 
 def audit_density_monotone(records: Sequence[SolveRecord]) -> None:
     """Exact-arithmetic check that proved-optimal densities never increase,
-    over the records with n >= r (below r the density is a placeholder 0)."""
+    over the records with n >= r (below r the density is a placeholder 0).
+
+    A pair whose later record was solved under the averaging cap from the
+    earlier one (see density_sequence) passes by construction, since the
+    cap is this very bound, so within a capped chain the audit cannot catch
+    an ex(n-1) that is too low; it still checks pairs across cache hits,
+    gaps and uncapped searches."""
     proved = sorted(
         (rec for rec in records if rec.proved_optimal and rec.n >= rec.r), key=lambda rec: rec.n
     )

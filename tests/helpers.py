@@ -37,6 +37,24 @@ def subset_scan_optimum(system) -> int:
     return int(sizes[~bad].max())
 
 
+def plain_subset_scan_optimum(system) -> int:
+    """subset_scan_optimum's obvious form, one full pass over all 2^m
+    subsets per conflict, kept to check the table version on small m."""
+    import numpy as np
+
+    m = len(system.ground)
+    assert m <= 16, "plain scan kept for small ground sets"
+    subsets = np.arange(1 << m, dtype=np.uint32)
+    ok = np.ones(1 << m, dtype=bool)
+    for a, b, c in system.conflicts:
+        cmask = np.uint32((1 << a) | (1 << b) | (1 << c))
+        ok &= (subsets & cmask) != cmask
+    pop = np.zeros(1 << m, dtype=np.uint8)
+    for bit in range(m):
+        pop += ((subsets >> np.uint32(bit)) & np.uint32(1)).astype(np.uint8)
+    return int(pop[ok].max())
+
+
 def permutation_isomorphic(f1: Hypergraph, f2: Hypergraph) -> bool:
     """Isomorphism by trying every degree-preserving bijection between the
     supports. An isomorphism preserves degrees, so none is skipped."""

@@ -5,6 +5,7 @@ oracle (m <= 20) and cross-checked against an independent integer-programming
 solve; see also the acceptance suite.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -47,6 +49,7 @@ from helpers import (
     milp_optimum,
     parse_dimacs,
     parse_lp_maximize,
+    plain_subset_scan_optimum,
     reference_search,
     subset_scan_optimum,
 )
@@ -171,6 +174,28 @@ class TestSolveExact:
             checked += 1
         assert checked >= 5
 
+    def test_subset_scan_matches_plain_scan(self):
+        # The table oracle against one pass per conflict: every r=2,3 class
+        # from its support while m <= 16, and random systems whose conflicts
+        # fall in either half of the table's split or across it.
+        import random
+
+        systems = [
+            forbidden_triples(entry.representative, n)
+            for r in (2, 3)
+            for entry in enumerate_three_edge(r).entries
+            for n in range(entry.representative.support_size, 7)
+            if comb(n, r) <= 16
+        ]
+        rng = random.Random(1357)
+        for m in range(3, 17):
+            triples = list(itertools.combinations(range(m), 3))
+            conflicts = rng.sample(triples, rng.randint(0, min(len(triples), 3 * m)))
+            systems.append(SimpleNamespace(ground=range(m), conflicts=conflicts))
+        assert len(systems) == 32
+        for system in systems:
+            assert subset_scan_optimum(system) == plain_subset_scan_optimum(system)
+
     def test_random_valid_seeds_do_not_change_optimum(self):
         import random
 
@@ -234,14 +259,21 @@ class TestSolveExact:
             assert (cut.nodes, cut.status) == (nodes - 1, STATUS_LOWER_BOUND)
 
     def test_setup_is_linear_in_the_conflict_count(self):
-        # One node on 278,460 conflicts. Setting each conflict's bit in ints
-        # that grow as they go is quadratic and took 2.1 s (Python 3.11, 2
-        # cores); each edge's bitset built once as bytes took 0.2 s.
-        system = forbidden_triples(matching(2, 3), 18)
-        assert len(system.conflicts) == 278_460
-        start = time.monotonic()
-        solve_exact(system, budget_nodes=1)
-        assert time.monotonic() - start < 1
+        # One node on 45,045 and on 278,460 conflicts (6.2 times as many).
+        # Building each edge's bitset once as bytes takes 5.3 times as long
+        # (0.037 and 0.20 s); setting each conflict's bit in ints that grow
+        # as they go is quadratic and takes 21 times as long (0.10 and 2.2 s,
+        # Python 3.11, 2 cores). Best of three, sizes interleaved, so load
+        # that slows one size slows the other.
+        small, large = (forbidden_triples(matching(2, 3), n) for n in (14, 18))
+        assert (len(small.conflicts), len(large.conflicts)) == (45_045, 278_460)
+        best = [float("inf")] * 2
+        for _ in range(3):
+            for i, system in enumerate((small, large)):
+                start = time.perf_counter()
+                solve_exact(system, budget_nodes=1)
+                best[i] = min(best[i], time.perf_counter() - start)
+        assert best[1] / best[0] < 10
 
     def test_incumbent_above_the_cap_raises(self):
         with pytest.raises(ValueError, match="9 edges exceeds the cap 8"):
@@ -387,7 +419,7 @@ class TestAveragingCap:
         six = density_sequence(K3, [5, 6], seed_for={6: K33})[1]
         assert (six.optimum, six.nodes, six.status, six.closed_by) == (9, 0, STATUS_OPTIMAL, "cap")
         assert six.witness == K33.edges
-        direct = solve_family(K3, 6, seed_witness=K33, cap=9)
+        direct = solve_exact(forbidden_triples(K3, 6), seed_witness=K33, cap=9)
         assert (direct.optimum, direct.nodes, direct.closed_by) == (9, 0, "cap")
 
     def test_cached_optimum_gives_no_cap(self, tmp_path):
