@@ -54,6 +54,7 @@ from .solver import (
     SOLVER_VERSION,
     STATUS_LOWER_BOUND,
     STATUS_OPTIMAL,
+    DensityIncreased,
     ResultCache,
     SolveRecord,
     TripleSystem,

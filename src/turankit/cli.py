@@ -36,6 +36,7 @@ from .hypergraph import (
 )
 from .morphisms import find_homomorphism, reduce_to_core, reduce_to_max_degree3
 from .solver import (
+    DensityIncreased,
     ResultCache,
     SolveRecord,
     STATUS_LOWER_BOUND,
@@ -508,7 +509,7 @@ def main(argv=None) -> int:
         # The reader closed stdout; devnull keeps the flush at exit from failing.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, DensityIncreased) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -60,6 +60,11 @@ class _CapReached(Exception):
     pass
 
 
+class DensityIncreased(RuntimeError):
+    """A proved-optimal density rose with n: a cached optimum is too low or
+    the solver is wrong (raised by audit_density_monotone)."""
+
+
 @dataclass(frozen=True)
 class TripleSystem:
     """Conflict encoding of "contains the forbidden pattern" over the
@@ -560,9 +565,10 @@ def density_sequence(
     """Solve a run of n values in ascending order and audit the densities.
 
     The density ex(n)/C(n, r) of consecutive proved-optimal entries must be
-    non-increasing; a violation raises, since it can only come from a solver
-    bug or a cached optimum that is too low. Entries that exhausted their
-    budget, and entries with n < r, are kept but excluded from the audit.
+    non-increasing; a violation raises DensityIncreased, since it can only
+    come from a solver bug or a cached optimum that is too low. Entries that
+    exhausted their budget, and entries with n < r, are kept but excluded
+    from the audit.
     An entry solved under the cap below passes it by construction, whether
     or not it stopped there, so in a capped chain only an independent check
     (the tests compare against uncapped search and a subset scan) catches
@@ -606,13 +612,17 @@ def audit_density_monotone(records: Sequence[SolveRecord]) -> None:
     )
     for prev, cur in zip(proved, proved[1:]):
         if cur.density() > prev.density():
-            raise RuntimeError(
-                f"density increased from n={prev.n} ({prev.density()}) "
-                f"to n={cur.n} ({cur.density()}); solver bug"
+            raise DensityIncreased(
+                f"density increased from n={prev.n} ({prev.density()}) to n={cur.n} "
+                f"({cur.density()}): a cached optimum may be too low, or the solver may be wrong"
             )
 
 
 # -- constraint export --------------------------------------------------------
+
+# Conflicts per text chunk: the per-line strings of one chunk are alive at once.
+_CHUNK = 1 << 12
+
 
 def export_cnf(system: TripleSystem, at_least: Optional[int] = None) -> str:
     """DIMACS CNF for the conflict system.
@@ -622,63 +632,64 @@ def export_cnf(system: TripleSystem, at_least: Optional[int] = None) -> str:
     With at_least=t, a sequential-counter encoding over the negated selection
     literals enforces at least t selected edges, using auxiliary variables
     numbered above the selection variables.
+
+    The text is joined once from chunks formatted straight from the conflict
+    triples and the counter's variable arithmetic, so it costs about twice
+    its own size in memory.
     """
     m = len(system.ground)
-    clauses: list[tuple[int, ...]] = [
-        tuple(-(i + 1) for i in triple) for triple in system.conflicts
-    ]
-    nvars = m
+    conflicts = system.conflicts
+    nvars, nclauses, counter = m, len(conflicts), []
     if at_least is not None:
         if not 0 <= at_least <= m:
             raise ValueError(f"cannot require {at_least} of {m} edges")
         if at_least > 0:
-            counter_clauses, nvars = _at_most_k_sequential(
-                literals=[-(i + 1) for i in range(m)],
-                k=m - at_least,
-                next_var=m + 1,
-            )
-            clauses.extend(counter_clauses)
-    lines = [
+            nvars, extra, counter = _at_most_k_sequential(m, m - at_least)
+            nclauses += extra
+    head = [
         f"c conflict-free edge selection: n={system.n} r={system.r} "
-        f"family={system.family_name or 'unnamed'}",
-        f"c profile={list(system.family_profile)}",
-        "c var i selects ground edge i-1; edge vertex sets:",
+        f"family={system.family_name or 'unnamed'}\n",
+        f"c profile={list(system.family_profile)}\n",
+        "c var i selects ground edge i-1; edge vertex sets:\n",
     ]
-    for i, mask in enumerate(system.ground):
-        lines.append(f"c var {i + 1} = {' '.join(str(v) for v in edge_vertices(mask))}")
+    head += [
+        f"c var {i} = {' '.join(map(str, edge_vertices(mask)))}\n"
+        for i, mask in enumerate(system.ground, 1)
+    ]
     if at_least is not None:
-        lines.append(f"c cardinality: at least {at_least} selected (sequential counter)")
-    lines.append(f"p cnf {nvars} {len(clauses)}")
-    for clause in clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
+        head.append(f"c cardinality: at least {at_least} selected (sequential counter)\n")
+    head.append(f"p cnf {nvars} {nclauses}\n")
+    clauses = [
+        "".join(f"-{a + 1} -{b + 1} -{c + 1} 0\n" for a, b, c in conflicts[lo:lo + _CHUNK])
+        for lo in range(0, len(conflicts), _CHUNK)
+    ]
+    return "".join(head + clauses + counter)
 
 
-def _at_most_k_sequential(literals: list[int], k: int, next_var: int) -> tuple[list[tuple[int, ...]], int]:
-    """Sinz sequential-counter clauses for at-most-k over the given literals.
+def _at_most_k_sequential(n: int, k: int) -> tuple[int, int, list[str]]:
+    """Sinz sequential-counter clauses for at most k true literals among the
+    negated selection literals -1..-n, that is, at most k edges left out.
 
-    Needs k < len(literals). Returns (clauses, highest variable number used).
-    k = 0 degenerates to unit clauses negating every literal.
+    Needs k < n. Register s(i, j), "at least j+1 of the first i+1 literals
+    are true", is variable n + 1 + i*k + j. Returns the highest variable
+    number used, the clause count, and the clauses as DIMACS text, one
+    chunk per counter row. k = 0 degenerates to unit clauses selecting
+    every edge.
     """
-    n = len(literals)
     if k == 0:
-        return [(-lit,) for lit in literals], next_var - 1
-    # s[i][j] (1-based j <= k): the count among the first i+1 literals is >= j
-    reg = [[next_var + i * k + j for j in range(k)] for i in range(n - 1)]
-    top = next_var + (n - 1) * k - 1
-    clauses = []
-    clauses.append((-literals[0], reg[0][0]))
-    for j in range(1, k):
-        clauses.append((-reg[0][j],))
+        return n, n, ["".join(f"{i} 0\n" for i in range(1, n + 1))]
+    s = n + 1  # s(0, 0)
+    rows = [f"1 {s} 0\n" + "".join(f"-{s + j} 0\n" for j in range(1, k))]
     for i in range(1, n - 1):
-        clauses.append((-literals[i], reg[i][0]))
-        clauses.append((-reg[i - 1][0], reg[i][0]))
-        for j in range(1, k):
-            clauses.append((-literals[i], -reg[i - 1][j - 1], reg[i][j]))
-            clauses.append((-reg[i - 1][j], reg[i][j]))
-        clauses.append((-literals[i], -reg[i - 1][k - 1]))
-    clauses.append((-literals[n - 1], -reg[n - 2][k - 1]))
-    return clauses, top
+        p, q = s + (i - 1) * k, s + i * k  # s(i-1, 0), s(i, 0)
+        rows.append(
+            f"{i + 1} {q} 0\n-{p} {q} 0\n"
+            + "".join(f"{i + 1} -{p + j - 1} {q + j} 0\n-{p + j} {q + j} 0\n" for j in range(1, k))
+            + f"{i + 1} -{q - 1} 0\n"
+        )
+    top = s + (n - 1) * k - 1  # s(n-2, k-1)
+    rows.append(f"{n} -{top} 0\n")
+    return top, k + 1 + (n - 2) * (2 * k + 1), rows
 
 
 def export_ilp(system: TripleSystem) -> str:
@@ -687,17 +698,19 @@ def export_ilp(system: TripleSystem) -> str:
 
     Variable xi selects ground edge i-1, matching the CNF numbering.
     """
-    lines = [
+    conflicts = system.conflicts
+    names = [f"x{i}" for i in range(1, len(system.ground) + 1)]
+    head = (
         f"\\ conflict-free edge selection: n={system.n} r={system.r} "
-        f"family={system.family_name or 'unnamed'}",
-        f"\\ profile={list(system.family_profile)}",
-        "Maximize",
-        " obj: " + " + ".join(f"x{i + 1}" for i in range(len(system.ground))),
-        "Subject To",
+        f"family={system.family_name or 'unnamed'}\n"
+        f"\\ profile={list(system.family_profile)}\n"
+        f"Maximize\n obj: {' + '.join(names)}\nSubject To\n"
+    )
+    rows = [
+        "".join(
+            f" c{ci}: x{a + 1} + x{b + 1} + x{c + 1} <= 2\n"
+            for ci, (a, b, c) in enumerate(conflicts[lo:lo + _CHUNK], lo + 1)
+        )
+        for lo in range(0, len(conflicts), _CHUNK)
     ]
-    for ci, (a, b, c) in enumerate(system.conflicts):
-        lines.append(f" c{ci + 1}: x{a + 1} + x{b + 1} + x{c + 1} <= 2")
-    lines.append("Binary")
-    lines.append(" " + " ".join(f"x{i + 1}" for i in range(len(system.ground))))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    return "".join([head, *rows, f"Binary\n {' '.join(names)}\nEnd\n"])

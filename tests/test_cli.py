@@ -328,6 +328,21 @@ class TestSolveAndDensity:
             assert code == 1 and out == ""
             assert err.startswith("error: cached witness for n=6 contains the pattern in " + str(cache))
 
+    def test_cached_optimum_too_low_fails_the_density_audit(self, capsys, tmp_path):
+        # The 5-cycle is triangle-free, so the hit check passes, but ex(5) = 6:
+        # the n=5 row's density 1/2 is below the n=6 row's 3/5.
+        cache = tmp_path / "c.jsonl"
+        cycle = [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]
+        cache.write_text(json.dumps(dict(K33_RECORD, n=5, optimum=5, witness=cycle)) + "\n")
+        code, out, err = run(
+            capsys, "--cache", str(cache), "density", "--family", "triangle", "--n-from", "5", "--n-to", "6"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: density increased from n=5 (1/2) to n=6 (3/5): "
+            "a cached optimum may be too low, or the solver may be wrong\n"
+        )
+
     def test_cache_reused_across_runs(self, capsys, tmp_path):
         cache = tmp_path / "c.jsonl"
         run(capsys, "--cache", str(cache), "solve", "--family", "triangle", "--n", "6")

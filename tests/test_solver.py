@@ -5,6 +5,7 @@ oracle (m <= 20) and cross-checked against an independent integer-programming
 solve; see also the acceptance suite.
 """
 
+import hashlib
 import itertools
 import json
 import os
@@ -822,7 +823,75 @@ class TestCache:
         assert rebuilt == record
 
 
+# SHA-256 of export texts that outside SAT and ILP solvers read: a change to
+# the writers must keep these bytes.
+R4_CLASS = (0, 1, 2, 2, 1, 0, 1)
+EXPORT_DIGESTS = {
+    ("cnf", "triangle", 4, None): "89b13e378f76a4ac27ec287119a84e60ccc8ad13598c931059a28c4bf8a9ed0c",
+    ("cnf", "triangle", 4, 0): "481953bede0a9729ed87fa0c697a78832b90fdd86621ee3420baf39d804ec558",
+    ("cnf", "triangle", 4, 1): "4ff8e187182d570abad55e6ea003e47a843ad998424ff4e70ed3c0038ab3eef2",
+    ("cnf", "triangle", 4, 3): "20844525b85e01b121c681b032156f1a21a46fb4d6c76c697f5219a78d6d34fe",
+    ("cnf", "triangle", 4, 5): "02c44f6fdcd83d21ddb00661d4c2b2ce1f8ed0328a728d187366467aa5739c16",
+    ("cnf", "triangle", 4, 6): "312f3090254007acd3448ce12e1eb59e728f4577ed322a61a3264dd76099a48c",
+    ("cnf", "triangle", 6, None): "f1bd80364a7aec35ceb969c7015f02ad4abc6352e1a5debcb4baa721413ff374",
+    ("cnf", "triangle", 6, 0): "72161350ab2ec2fcc8a27045fc7a234615bb8c4956d832c7052fb3315f293fad",
+    ("cnf", "triangle", 6, 1): "9bcdb0290960b74fcf508002f1327eaad77c24ce617b1cfb0d383b8a82753b69",
+    ("cnf", "triangle", 6, 7): "7fb8a12144027982c7fa4ff71305f16d675a5228cfa4810cc821782ae49067c6",
+    ("cnf", "triangle", 6, 14): "edcdcc7c679841e39ebd6a8eda713ae3eaa3565a9329a48599c0355fc87c7952",
+    ("cnf", "triangle", 6, 15): "71af87d5767024025e92062592bb936868a0f41a34b6442abcf40939045a6934",
+    ("cnf", "triangle", 30, None): "8225a07ab3481bc1350c99a551e62c198d57b9560ebcca95e5566f8ab51e6f08",
+    ("cnf", "triangle", 30, 0): "6c1c6914f5a30d73444322986539d659eb280ee2e28aec9cdab63f20cb50210f",
+    ("cnf", "triangle", 30, 1): "dcb58bf0cd78debb8ccc8f2dbe2ae5f8006783b1d82c86ebf770fe9a1371571a",
+    ("cnf", "triangle", 30, 217): "f67d5a99451ce7e26191d9ad640c78aff708d60204808e8c895c19d077add31f",
+    ("cnf", "triangle", 30, 434): "1bed5e09f50936ba98a3cd6746266061a9c067ca852ccbae5e49578acfdc04a9",
+    ("cnf", "triangle", 30, 435): "fb367baffcb5362cae09609e8ddb79245bff3fcac97b5e31dc31107a60e16067",
+    ("cnf", "r4-class", 9, 30): "583e8cb173bb943fdaee8bcac11fac12aa0940f7b98016c1934901ea525ab46b",
+    ("cnf", "r4-class", 9, None): "f1e90a669bb696c46867508af4a1c42e3f63b4fb480eabbbabd338ccb7a55529",
+    ("ilp", "triangle", 4, None): "eec6a23123064ea391f3242dfd14697f61594790b29b6c7e9aad5484cbfcb5b8",
+    ("ilp", "triangle", 6, None): "deae5c643582b77c56396d9902761564291613628ccb408bb0507413685186bd",
+    ("ilp", "triangle", 30, None): "81e3b04eac467ba2b4fb0adbf71e849e09546c74d57d86c266bacb16c385c787",
+    ("ilp", "r4-class", 9, None): "e2ddc43b4aad07572e65c469ee53c1781aa25ff08ae4cdddea6d8ecac6f09218",
+}
+
+
+@pytest.mark.parametrize("key", EXPORT_DIGESTS, ids=lambda key: "-".join(map(str, key)))
+def test_export_bytes_are_pinned(key):
+    fmt, family, n, at_least = key
+    if family == "triangle":
+        system = forbidden_triples(K3, n, "triangle")
+    else:
+        system = forbidden_triples(realize_profile(R4_CLASS, 4), n)
+    text = export_cnf(system, at_least=at_least) if fmt == "cnf" else export_ilp(system)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_DIGESTS[key]
+
+
 class TestExportCnf:
+    @pytest.mark.parametrize("f, n", [(K3, 3), (K3, 4), (K3, 5), (K4_MINUS, 4), (K4_MINUS, 5), (T4, 6)])
+    def test_header_counts_every_variable_and_clause(self, f, n):
+        # Every ground edge lies in some conflict here, so even at_least=0
+        # names every selection variable in a clause.
+        system = forbidden_triples(f, n)
+        assert len({e for triple in system.conflicts for e in triple}) == len(system.ground)
+        for t in range(len(system.ground) + 1):
+            lines = export_cnf(system, at_least=t).splitlines()
+            (header,) = [line for line in lines if line.startswith("p cnf ")]
+            clauses = lines[lines.index(header) + 1:]
+            assert all(line.endswith(" 0") for line in clauses)
+            top = max(abs(int(tok)) for line in clauses for tok in line.split())
+            assert header == f"p cnf {top} {len(clauses)}"
+
+    def test_export_memory_is_about_twice_the_text(self):
+        # A writer that builds each of the 182,504 counter clauses as a tuple
+        # before formatting it peaks at about 14 times the text's size.
+        system = forbidden_triples(K3, 30)
+        tracemalloc.start()
+        try:
+            text = export_cnf(system, at_least=225)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
+
     def test_triangle_counts(self):
         text = export_cnf(forbidden_triples(K3, 4))
         nvars, clauses = parse_dimacs(text)
