@@ -7,7 +7,8 @@ is branch and bound over include/exclude decisions per ground edge, with a
 greedy disjoint-conflict packing bound, root-level symmetry breaking, an
 optional cap that stops the search (density sequences take it from the
 n - 1 optimum they just proved), and an append-only JSONL result cache
-keyed by the pattern's region profile.
+keyed by the pattern's region profile. A budget or the cap ends a search
+through one exception that carries the record's status and close reason.
 
 The search state is a handful of Python ints used as bitsets: included and
 excluded edges over the ground set, and the active and hit conflicts over
@@ -52,12 +53,8 @@ CLOSED_BY_SEARCH = "search"
 CLOSED_BY_CAP = "cap"
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _CapReached(Exception):
-    pass
+class _Stop(Exception):
+    """Ends a search early; its args are the record's (status, closed_by)."""
 
 
 class DensityIncreased(RuntimeError):
@@ -226,11 +223,12 @@ def solve_exact(
     undecided edge lying in the most active conflicts (the lowest index among
     ties); the bound subtracts a greedy packing of active conflicts with
     disjoint undecided parts from the count of undecided edges. Completing
-    within budget proves optimality; otherwise the record is marked
-    lower-bound-only. The returned witness is re-verified to be conflict-free
-    either way. budget_nodes must be at least 1 (a budget of N allows N
-    nodes) and budget_secs a non-negative number (0.0 stops at the first
-    deadline poll); anything else raises ValueError.
+    proves optimality. The node budget, the deadline (polled every 256
+    nodes) and the cap end the search by one exception, _Stop, whose args
+    are the record's status and closed_by: lower-bound-only on a budget. The
+    witness is re-verified either way. budget_nodes must be at least 1 (a
+    budget of N allows N nodes) and budget_secs a non-negative number (0.0
+    stops at the first deadline poll); anything else raises ValueError.
 
     cap, when given, is a stop rule: the caller vouches that no
     conflict-free subset is larger, so the search stops, proved optimal
@@ -319,10 +317,10 @@ def solve_exact(
         def dfs(inc: int, exc: int, active: int, hit: int, parent_active: int, parent_counts: list):
             nonlocal best_val, best_mask, nodes
             if nodes == node_budget:
-                raise _BudgetExhausted
+                raise _Stop(STATUS_LOWER_BOUND, CLOSED_BY_SEARCH)
             nodes += 1
             if not nodes & 255 and time.monotonic() > deadline:
-                raise _BudgetExhausted
+                raise _Stop(STATUS_LOWER_BOUND, CLOSED_BY_SEARCH)
             exc_count = exc.bit_count()
             if not active:
                 # No conflict can still be violated: take every undecided edge.
@@ -331,7 +329,7 @@ def solve_exact(
                     best_val = val
                     best_mask = full & ~exc
                     if val >= stop_at:
-                        raise _CapReached
+                        raise _Stop(STATUS_OPTIMAL, CLOSED_BY_CAP)
                 return
             inc_count = inc.bit_count()
             undecided = m - inc_count - exc_count
@@ -387,10 +385,8 @@ def solve_exact(
         counts = [-1] + [mem.bit_count() for mem in membership[1:]]
         try:
             dfs(*include(0, 0, all_conflicts, 0, 0), all_conflicts, counts)
-        except _BudgetExhausted:
-            status = STATUS_LOWER_BOUND
-        except _CapReached:
-            closed_by = CLOSED_BY_CAP
+        except _Stop as stop:
+            status, closed_by = stop.args
 
     witness = tuple(
         system.ground[i] for i in range(m) if best_mask >> i & 1
@@ -438,7 +434,7 @@ class ResultCache:
     concurrent writers never interleave within a line, and starts it with a
     newline when the file does not end in one, so a record never lands on
     another line (an interrupted append's partial line becomes a corrupt line).
-    solve_family checks every hit's witness against the requested pattern.
+    density_sequence checks every hit's witness against the requested pattern.
     """
 
     def __init__(self, path: str):
@@ -516,38 +512,15 @@ def solve_family(
     budget_secs: float | None = None,
     seed_witness: Optional[Hypergraph | Iterable[int]] = None,
 ) -> SolveRecord:
-    """Cache-aware wrapper: consult the cache first, otherwise build the
-    conflict system, solve, and append the result when proved optimal.
-    Budgets are checked before the cache is read, so a bad budget is refused
-    whether or not the record is cached. A cached witness that contains a
-    copy of f raises ValueError naming the cache file."""
-    return _lookup_or_solve(f, n, family_name, cache, budget_nodes, budget_secs, seed_witness, None)[0]
-
-
-def _lookup_or_solve(f, n, family_name, cache, budget_nodes, budget_secs, seed_witness, cap):
-    """solve_family's record, solved with cap as solve_exact's stop rule,
-    and True when a search here proved or bounded it (False for a cache
-    hit). A capped proof is cached like any other, so only density_sequence
-    passes a cap, one it proved itself."""
-    profile = pattern_profile(f)
-    _check_budgets(budget_nodes, budget_secs)
-    if cache is not None:
-        hit = cache.lookup(profile, n)
-        if hit is not None:
-            if next(copies_of(f, hit.witness_hypergraph()), None) is not None:
-                raise ValueError(f"cached witness for n={n} contains the pattern in {cache.path}")
-            return hit, False
-    system = forbidden_triples(f, n, family_name)
-    record = solve_exact(
-        system,
-        budget_nodes=budget_nodes,
-        budget_secs=budget_secs,
-        seed_witness=seed_witness,
-        cap=cap,
-    )
-    if cache is not None and record.proved_optimal:
-        cache.append(record)
-    return record, True
+    """density_sequence at the one n, so never capped. Budgets are checked
+    before the cache is read. A hit is the stored record as is (family_name,
+    nodes and millis too); its optimum is trusted and only its witness is
+    checked: a copy of f in it raises ValueError naming the cache file. A
+    line that is too low is served until deleted or SOLVER_VERSION bumped."""
+    return density_sequence(
+        f, [n], family_name=family_name, cache=cache, budget_nodes=budget_nodes,
+        budget_secs=budget_secs, seed_for={n: seed_witness},
+    )[0]
 
 
 # -- density sequences -------------------------------------------------------
@@ -563,6 +536,7 @@ def density_sequence(
     seed_for: Optional[dict[int, Hypergraph | Iterable[int]]] = None,
 ) -> list[SolveRecord]:
     """Solve a run of n values in ascending order and audit the densities.
+    The pattern and the budgets are checked first, even for an empty run.
 
     The density ex(n)/C(n, r) of consecutive proved-optimal entries must be
     non-increasing; a violation raises DensityIncreased, since it can only
@@ -578,21 +552,35 @@ def density_sequence(
     at the averaging cap floor(ex(n-1) * n / (n - r)): deleting a vertex of
     a pattern-free r-graph on n vertices leaves one on n - 1, and each edge
     survives n - r of the n deletions, so e * (n - r) <= n * ex(n-1)
-    (Katona, Nemetz and Simonovits, 1964). A cache hit gives no cap: its
-    check proves only that the witness is pattern-free, a lower bound, and
-    a cached optimum that is too low would make the cap unsound. Neither
-    does a lower-bound-only record or an n - 1 missing from n_values.
+    (Katona, Nemetz and Simonovits, 1964). Neither a lower-bound-only
+    record, an n - 1 missing from n_values nor a cache hit gives a cap: a
+    hit's optimum is trusted and only its witness is checked (ValueError
+    naming the cache file when it holds a copy of f). So only an uncapped
+    search at a later n of this call, cached before the audit, exposes a
+    line that is too low; delete it or bump SOLVER_VERSION.
     """
+    profile = pattern_profile(f)
+    _check_budgets(budget_nodes, budget_secs)
     records = []
     proved: dict[int, int] = {}  # n -> ex(n), proved by a search in this call
     for n in sorted(n_values):
-        prev = proved.get(n - 1)
-        cap = prev * n // (n - f.r) if prev is not None and n > f.r else None
-        record, searched = _lookup_or_solve(
-            f, n, family_name, cache, budget_nodes, budget_secs, (seed_for or {}).get(n), cap
-        )
-        if searched and record.proved_optimal:
-            proved[n] = record.optimum
+        record = cache.lookup(profile, n) if cache is not None else None
+        if record is not None:
+            if next(copies_of(f, record.witness_hypergraph()), None) is not None:
+                raise ValueError(f"cached witness for n={n} contains the pattern in {cache.path}")
+        else:
+            prev = proved.get(n - 1)
+            record = solve_exact(
+                forbidden_triples(f, n, family_name),
+                budget_nodes=budget_nodes,
+                budget_secs=budget_secs,
+                seed_witness=(seed_for or {}).get(n),
+                cap=prev * n // (n - f.r) if prev is not None and n > f.r else None,
+            )
+            if record.proved_optimal:
+                proved[n] = record.optimum
+                if cache is not None:
+                    cache.append(record)
         records.append(record)
     audit_density_monotone(records)
     return records

@@ -396,6 +396,24 @@ class TestDensitySequence:
     def test_singleton_range_trivially_monotone(self):
         audit_density_monotone(density_sequence(K3, [5]))
 
+    def test_empty_run_checks_pattern_and_budgets(self):
+        with pytest.raises(ValueError, match="budget"):
+            density_sequence(K3, [], budget_nodes=0)
+        with pytest.raises(ValueError, match="^need exactly 3 edges, got 2$"):
+            density_sequence(matching(3, 2), [])
+
+    def test_solve_family_is_the_one_n_run(self, tmp_path):
+        # Either call's miss is the other's hit, and the hit appends nothing.
+        def one_n_run(f, n, cache):
+            return density_sequence(f, [n], cache=cache)[0]
+
+        for name, first, second in (("a", solve_family, one_n_run), ("b", one_n_run, solve_family)):
+            path = tmp_path / f"{name}.jsonl"
+            cache = ResultCache(str(path))
+            miss = first(K3, 6, cache=cache)
+            assert second(K3, 6, cache=cache) == miss == cache.records()[0]
+            assert path.read_text().count("\n") == 1
+
     def test_range_starting_below_uniformity(self):
         # n < r has no r-sets and a placeholder density 0; the audit skips it
         records = density_sequence(K3, [1, 2, 3, 4])
