@@ -55,7 +55,7 @@ class ThreeEdgeCatalog:
         return len(self.entries)
 
 
-def _canonical_profiles(r: int) -> list[tuple[int, ...]]:
+def _canonical_profiles(r: int) -> list[RegionProfile]:
     """All region profiles of three pairwise-distinct r-edges, one per class."""
     seen = set()
     for a123 in range(r + 1):
@@ -105,7 +105,7 @@ def enumerate_three_edge(r: int) -> ThreeEdgeCatalog:
         degrees = rep.degrees()  # realize_profile leaves no vertex isolated
         entries.append(
             CatalogEntry(
-                profile=RegionProfile(*profile),
+                profile=profile,
                 representative=rep,
                 min_degree=min(degrees),
                 max_degree=max(degrees),
@@ -136,10 +136,10 @@ def verify_classification(r: int, catalog: ThreeEdgeCatalog | None = None) -> Cl
     built = [(canonical_regions(*suspension(expanded_triangle(i), r).edges), i)
              for i in range(1, r // 2 + 1)]
     # A class with no width counts as 0, so it can never match a construction.
-    if sorted((p.as_tuple(), width or 0) for p, width in matches) != sorted(built):
+    if sorted((p, width or 0) for p, width in matches) != sorted(built):
         raise RuntimeError(
             f"classification failed for r={r}: the min-degree-2 classes (profile, width) "
-            f"{[(p.as_tuple(), width) for p, width in matches]} do not have the widths "
+            f"{[(tuple(p), width) for p, width in matches]} do not have the widths "
             f"1..{r // 2} once each"
         )
     return ClassificationReport(r=r, class_count=len(matches), matches=matches)

@@ -197,7 +197,7 @@ def cmd_classify(args) -> int:
             tag = "min-degree-1"
         rows.append(
             {
-                "profile": " ".join(str(x) for x in entry.profile.as_tuple()),
+                "profile": " ".join(str(x) for x in entry.profile),
                 "min_degree": entry.min_degree,
                 "max_degree": entry.max_degree,
                 "class": tag,

@@ -33,6 +33,7 @@ from .constructions import complete_rgraph
 from .hypergraph import (
     MAX_VERTICES,
     Hypergraph,
+    RegionProfile,
     check_build,
     check_capacity,
     checked_edge_mask,
@@ -76,7 +77,7 @@ class TripleSystem:
     r: int
     ground: tuple[int, ...]
     conflicts: tuple[tuple[int, int, int], ...]
-    family_profile: tuple[int, ...]
+    family_profile: RegionProfile
     family_name: str
 
 
@@ -90,7 +91,7 @@ class SolveRecord:
     to solve_exact. The field order is the key order of the JSON object (a
     cache line), which holds closed_by only when it is "cap"."""
 
-    family_profile: tuple[int, ...]
+    family_profile: RegionProfile
     family_name: str
     n: int
     r: int
@@ -131,17 +132,16 @@ class SolveRecord:
         missing closed_by is "search"."""
         kw = {key: obj[key] for key in _RECORD_KEYS}
         kw["closed_by"] = obj.get("closed_by", CLOSED_BY_SEARCH)
-        profile = kw["family_profile"] = tuple(kw["family_profile"])
+        p = kw["family_profile"] = RegionProfile._make(kw["family_profile"])
         n, r, optimum, edges = kw["n"], kw["r"], kw["optimum"], kw["witness"]
-        counts = (n, r, optimum, kw["nodes"], kw["millis"], *profile)
+        counts = (n, r, optimum, kw["nodes"], kw["millis"], *p)
         if not (
-            len(profile) == 7
-            and set(map(type, counts)) == {int}
+            set(map(type, counts)) == {int}
             and min(counts) >= 0 and r >= 1 and n <= MAX_VERTICES
-            # r is each edge size the profile implies: a1+a12+a13+a123 and the like
-            and r == profile[0] + profile[3] + profile[4] + profile[6]
-            == profile[1] + profile[3] + profile[5] + profile[6]
-            == profile[2] + profile[4] + profile[5] + profile[6]
+            # r is each edge size the profile implies
+            and r == p.a1 + p.a12 + p.a13 + p.a123
+            == p.a2 + p.a12 + p.a23 + p.a123
+            == p.a3 + p.a13 + p.a23 + p.a123
             and kw["status"] in (STATUS_OPTIMAL, STATUS_LOWER_BOUND)
             # only a proof closes by the cap
             and (kw["closed_by"] == CLOSED_BY_SEARCH

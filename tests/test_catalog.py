@@ -9,6 +9,7 @@ import pytest
 
 from turankit import (
     RegionProfile,
+    ResultCache,
     ThreeEdgeCatalog,
     canonical_regions,
     edge_mask,
@@ -16,16 +17,19 @@ from turankit import (
     enumerate_three_edge,
     expanded_triangle,
     find_isomorphism,
+    forbidden_triples,
     from_masks,
     is_isomorphic,
     make_hypergraph,
     max_degree,
     min_positive_degree,
+    solve_family,
     suspension,
     verify_classification,
 )
 
 from turankit.catalog import suspension_width
+from turankit.hypergraph import copy_count, pattern_profile
 
 from helpers import permutation_isomorphic
 
@@ -68,7 +72,7 @@ class TestEnumeration:
                 rep = entry.representative
                 assert len(rep.edges) == 3
                 assert rep.support_size == rep.n
-                assert RegionProfile.of(rep) == entry.profile
+                assert pattern_profile(rep) == entry.profile
 
     def test_out_of_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +126,7 @@ class TestProfileCompleteness:
                 relabeled = make_hypergraph(
                     rep.n, r, [[perm[v] for v in edge_vertices(e)] for e in rep.edges]
                 )
-                assert RegionProfile.of(relabeled) == entry.profile
+                assert pattern_profile(relabeled) == entry.profile
                 assert find_isomorphism(rep, relabeled) is not None
 
 
@@ -185,3 +189,24 @@ def test_suspension_width_skips_widths_past_the_vertex_capacity():
     assert suspension_width(canonical_regions(*f.edges), 44) is None
     apex_triangle = suspension(expanded_triangle(1), 44)
     assert suspension_width(canonical_regions(*apex_triangle.edges), 44) == 1
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_entry_profile_is_accepted_wherever_a_profile_is(r, tmp_path):
+    # A catalog entry's profile is the RegionProfile that pattern_profile
+    # returns, so every profile API takes it as it is, and the conflict
+    # system and a record read back from the cache carry the same type.
+    n = 6
+    cache = ResultCache(str(tmp_path / "cache.jsonl"))
+    for entry in enumerate_three_edge(r).entries:
+        f = entry.representative
+        assert type(entry.profile) is RegionProfile
+        assert entry.profile == pattern_profile(f)
+        assert suspension_width(entry.profile, r) == entry.suspension_index
+        system = forbidden_triples(f, n)
+        assert type(system.family_profile) is RegionProfile
+        assert copy_count(entry.profile, n) == len(system.conflicts)
+        solve_family(f, n, cache=cache)
+        hit = cache.lookup(entry.profile, n)
+        assert hit is not None and type(hit.family_profile) is RegionProfile
+        assert hit.family_profile == entry.profile

@@ -37,7 +37,14 @@ from turankit import (
     suspension,
 )
 from turankit.catalog import realize_profile
-from turankit.hypergraph import MAX_BUILD, MAX_VERTICES, copy_count, suspension_width
+from turankit.hypergraph import (
+    MAX_BUILD,
+    MAX_VERTICES,
+    canonical_profile,
+    copy_count,
+    pattern_profile,
+    suspension_width,
+)
 
 from helpers import brute_force_copies, permutation_isomorphic
 
@@ -154,14 +161,14 @@ class TestLink:
 
 class TestRegionProfile:
     def test_sums_give_uniformity(self):
-        prof = RegionProfile.of(K4_MINUS)
+        prof = pattern_profile(K4_MINUS)
         t = prof.as_tuple()
         assert t[0] + t[3] + t[4] + t[6] == 3
         assert t[1] + t[3] + t[5] + t[6] == 3
         assert t[2] + t[4] + t[5] + t[6] == 3
 
     def test_expanded_triangle_profile(self):
-        assert RegionProfile.of(expanded_triangle(2)).as_tuple() == (0, 0, 0, 2, 2, 2, 0)
+        assert pattern_profile(expanded_triangle(2)).as_tuple() == (0, 0, 0, 2, 2, 2, 0)
 
     def test_relabeling_invariance(self):
         def raw_regions(x, y, z):
@@ -175,7 +182,7 @@ class TestRegionProfile:
         asymmetric = realize_profile((3, 2, 1, 1, 2, 3, 0), 6)
         for base in (symmetric, asymmetric):
             expected = min(raw_regions(*p) for p in itertools.permutations(base.edges))
-            assert RegionProfile.of(base).as_tuple() == expected
+            assert pattern_profile(base).as_tuple() == expected
             for _ in range(10):
                 perm = list(range(base.n))
                 rng.shuffle(perm)
@@ -183,11 +190,23 @@ class TestRegionProfile:
                 rng.shuffle(edges)
                 assert canonical_regions(*edges) == expected
                 relabeled = from_masks(base.n, base.r, edges)
-                assert RegionProfile.of(relabeled) == RegionProfile.of(base)
+                assert pattern_profile(relabeled) == pattern_profile(base)
 
     def test_needs_three_edges(self):
         with pytest.raises(ValueError):
-            RegionProfile.of(make_hypergraph(3, 2, [[0, 1]]))
+            pattern_profile(make_hypergraph(3, 2, [[0, 1]]))
+
+    def test_one_profile_type(self):
+        # Every profile the library makes is a RegionProfile, a 7-tuple whose
+        # fields name the regions.
+        cases = [(pattern_profile(K4_MINUS), (0, 0, 0, 1, 1, 1, 1)),
+                 (canonical_regions(*K4_MINUS.edges), (0, 0, 0, 1, 1, 1, 1)),
+                 (canonical_profile((1, 0, 1, 1, 0, 1, 0)), (0, 1, 1, 1, 1, 0, 0))]
+        for prof, expected in cases:
+            assert type(prof) is RegionProfile
+            assert prof == expected == prof.as_tuple()
+        path = cases[2][0]
+        assert (path.a1, path.a2, path.a12, path.a23, path.a123) == (0, 1, 1, 0, 0)
 
 
 class TestSuspensionWidth:
@@ -255,6 +274,26 @@ class TestIsomorphism:
                        (Hypergraph(2, 2, ()), Hypergraph(5, 3, ()))):
             assert is_isomorphic(f1, f2)
             assert find_isomorphism(f1, f2) == {}
+
+    @pytest.mark.parametrize(
+        "f1, f2, expected",
+        [
+            (K3, K4_MINUS, False),
+            (K3, make_hypergraph(4, 2, [[0, 1], [1, 2], [0, 2], [2, 3]]), False),
+            (make_hypergraph(3, 1, [[0], [1], [2]]), make_hypergraph(5, 1, [[4], [0], [2]]), True),
+            (make_hypergraph(3, 1, [[0], [1], [2]]), make_hypergraph(3, 1, [[0], [1]]), False),
+            (make_hypergraph(4, 1, [[0], [1], [2], [3]]), make_hypergraph(5, 1, [[4], [3], [1], [0]]), True),
+            (make_hypergraph(3, 1, [[0], [1], [2]]), K3, False),
+            (make_hypergraph(1, 1, [[0]]), Hypergraph(3, 1, ()), False),
+        ],
+        ids=["three-edge-mixed-r", "three-and-four-edges", "r1-three-edges",
+             "r1-three-and-two-edges", "r1-four-edges", "r1-and-r2", "r1-edge-and-edgeless"],
+    )
+    def test_one_rule_for_every_pair(self, f1, f2, expected):
+        # Profile equality when both have three edges, else find_isomorphism
+        # (edgeless pairs of any r are in test_edgeless_pairs_are_isomorphic).
+        assert is_isomorphic(f1, f2) == is_isomorphic(f2, f1) == expected
+        assert permutation_isomorphic(f1, f2) == expected
 
     def test_four_edge_fallback(self):
         square = make_hypergraph(4, 2, [[0, 1], [1, 2], [2, 3], [3, 0]])
@@ -410,7 +449,7 @@ def test_no_pair_scan_below_the_support(f, n):
     "call",
     [
         lambda f: next(copies_of(f, complete_rgraph(6, 3))),
-        RegionProfile.of,
+        pattern_profile,
         lambda f: forbidden_triples(f, 6),
         lambda f: solve_family(f, 6),
         reduce_to_core,
