@@ -8,8 +8,7 @@ hypergraphs, so no labeled search or canonical-form machinery is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .constructions import expanded_triangle, suspension
 from .hypergraph import (
@@ -25,8 +24,7 @@ MIN_UNIFORMITY = 2
 MAX_UNIFORMITY = 8
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     profile: RegionProfile
     representative: Hypergraph
     min_degree: int
@@ -36,12 +34,14 @@ class CatalogEntry:
     suspension_index: Optional[int]
 
 
-@dataclass(frozen=True)
-class ThreeEdgeCatalog:
-    """One representative per isomorphism class of three-edge r-graphs."""
+class ThreeEdgeCatalog(NamedTuple("ThreeEdgeCatalog", [("r", int),
+                                                        ("entries", tuple[CatalogEntry, ...])])):
+    """One representative per isomorphism class of three-edge r-graphs;
+    len() is the entry count."""
 
-    r: int
-    entries: tuple[CatalogEntry, ...]
+    __slots__ = ()
+    # the namedtuple _make checks len(), which here counts entries
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def min_degree_one(self) -> tuple[CatalogEntry, ...]:
@@ -115,8 +115,7 @@ def enumerate_three_edge(r: int) -> ThreeEdgeCatalog:
     return ThreeEdgeCatalog(r, tuple(entries))
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     r: int
     class_count: int
     matches: tuple[tuple[RegionProfile, int], ...]

@@ -6,9 +6,8 @@ matchings, and complete r-graphs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .hypergraph import (
     Hypergraph,
@@ -21,17 +20,17 @@ from .hypergraph import (
 )
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple("Partition", [("n", int), ("part1", int)])):
     """Ordered bipartition of {0..n-1}; part2 is the complement of part1."""
 
-    n: int
-    part1: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        check_capacity(self.n)
-        if self.part1 & ~((1 << self.n) - 1):
+    def __new__(cls, n: int, part1: int):
+        check_capacity(n)
+        if part1 & ~((1 << n) - 1):
             raise ValueError("part1 uses a vertex outside 0..n-1")
+        return super().__new__(cls, n, part1)
 
     @property
     def part2(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from math import factorial, perm, prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -51,26 +50,26 @@ def edge_vertices(mask: int) -> list[int]:
     return vs
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(NamedTuple("Hypergraph", [("n", int), ("r", int), ("edges", tuple[int, ...])])):
     """Immutable r-uniform hypergraph on vertex set {0..n-1}."""
 
-    n: int
-    r: int
-    edges: tuple[int, ...]
+    __slots__ = ()
+    # so _replace, like the constructor, runs the checks in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        check_capacity(self.n, self.r)
-        full = (1 << self.n) - 1
+    def __new__(cls, n: int, r: int, edges: tuple[int, ...]):
+        check_capacity(n, r)
+        full = (1 << n) - 1
         prev = -1
-        for e in self.edges:
+        for e in edges:
             if e <= prev:
                 raise ValueError("edges must be deduplicated and sorted ascending")
             if e & ~full:
-                raise ValueError(f"edge {edge_vertices(e)} uses a vertex outside 0..{self.n - 1}")
-            if e.bit_count() != self.r:
-                raise ValueError(f"edge {edge_vertices(e)} does not have exactly {self.r} vertices")
+                raise ValueError(f"edge {edge_vertices(e)} uses a vertex outside 0..{n - 1}")
+            if e.bit_count() != r:
+                raise ValueError(f"edge {edge_vertices(e)} does not have exactly {r} vertices")
             prev = e
+        return super().__new__(cls, n, r, edges)
 
     def degrees(self) -> list[int]:
         degs = [0] * self.n
@@ -185,20 +184,20 @@ def link(h: Hypergraph, v: int) -> Hypergraph:
 
 # -- vertex maps -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class VertexMap:
+class VertexMap(NamedTuple("VertexMap", [("domain_size", int), ("codomain_size", int),
+                                          ("images", tuple[int, ...])])):
     """Total map from one vertex set into another, not necessarily injective."""
 
-    domain_size: int
-    codomain_size: int
-    images: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if len(self.images) != self.domain_size:
+    def __new__(cls, domain_size: int, codomain_size: int, images: tuple[int, ...]):
+        if len(images) != domain_size:
             raise ValueError("image array length must equal the domain size")
-        for w in self.images:
-            if not 0 <= w < self.codomain_size:
-                raise ValueError(f"image {w} outside 0..{self.codomain_size - 1}")
+        for w in images:
+            if not 0 <= w < codomain_size:
+                raise ValueError(f"image {w} outside 0..{codomain_size - 1}")
+        return super().__new__(cls, domain_size, codomain_size, images)
 
     def is_homomorphism(self, source: Hypergraph, target: Hypergraph) -> bool:
         """True when the image of every source edge is an edge of the target."""

@@ -9,8 +9,7 @@ one where every non-isolated vertex has degree at least two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .constructions import expanded_triangle, suspension
 from .hypergraph import (
@@ -28,15 +27,13 @@ REACHED_MIN_DEGREE_2 = "reached-min-degree-2"
 COLLAPSED = "collapsed-to-<=2-edges"
 
 
-@dataclass(frozen=True)
-class FoldStep:
+class FoldStep(NamedTuple):
     x: int
     y: int
     result: Hypergraph
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """Record of a fold sequence: per-step results, the terminal hypergraph,
     and the composed vertex map, which is always a verified homomorphism
     from the original to the terminal hypergraph.

@@ -22,12 +22,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import starmap
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .constructions import complete_rgraph
 from .hypergraph import (
@@ -63,8 +62,7 @@ class DensityIncreased(RuntimeError):
     the solver is wrong (raised by audit_density_monotone)."""
 
 
-@dataclass(frozen=True)
-class TripleSystem:
+class TripleSystem(NamedTuple):
     """Conflict encoding of "contains the forbidden pattern" over the
     complete r-graph on n vertices.
 
@@ -81,8 +79,7 @@ class TripleSystem:
     family_name: str
 
 
-@dataclass(frozen=True)
-class SolveRecord:
+class SolveRecord(NamedTuple):
     """Result of one exact computation: the optimum (or best lower bound on
     budget exhaustion), a verified pattern-free witness, and search stats.
 
@@ -116,7 +113,7 @@ class SolveRecord:
 
     def to_json_dict(self) -> dict:
         obj = dict(
-            vars(self),
+            self._asdict(),
             family_profile=list(self.family_profile),
             witness=[edge_vertices(e) for e in self.witness],
         )
@@ -155,7 +152,7 @@ class SolveRecord:
         return cls(**kw)
 
 
-_RECORD_KEYS = tuple(f.name for f in fields(SolveRecord) if f.name != "closed_by")
+_RECORD_KEYS = tuple(name for name in SolveRecord._fields if name != "closed_by")
 # Cache lines repeat a few hundred distinct edges. typed: False or 3.0 is not a hit for 0 or 3.
 _edge_mask_memo = lru_cache(maxsize=1 << 12, typed=True)(checked_edge_mask)
 

@@ -9,7 +9,7 @@ recovers the per-vertex apparatus of the stability analysis at finite n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import Partition, check_even_uniformity, odd_bipartite, odd_bipartite_count
 from .hypergraph import Hypergraph, link
@@ -17,8 +17,7 @@ from .hypergraph import Hypergraph, link
 BEST_PARTITION_MAX_N = 24
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     """Symmetric difference between a hypergraph and the complete
     odd-bipartite hypergraph over one partition, split into bad edges
     (present, even intersection with part1) and missing edges (odd
@@ -120,8 +119,7 @@ def heavy_missing_vertices(h: Hypergraph, partition: Partition, threshold: int) 
     return [v for v in range(h.n) if degs[v] >= threshold]
 
 
-@dataclass(frozen=True)
-class LinkPartitionScan:
+class LinkPartitionScan(NamedTuple):
     """Link scan: rows[x] is the DeviationReport of vertex x's link."""
 
     rows: tuple[DeviationReport, ...]

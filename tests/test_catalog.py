@@ -1,6 +1,5 @@
 """Three-edge class enumeration and the min-degree-two classification."""
 
-import dataclasses
 import itertools
 import random
 import re
@@ -174,10 +173,17 @@ class TestClassification:
         # matching no suspension or both matching width 2.
         real = enumerate_three_edge(4).min_degree_two
         broken = ThreeEdgeCatalog(4, tuple(
-            dataclasses.replace(entry, suspension_index=width) for entry, width in zip(real, widths)
+            entry._replace(suspension_index=width) for entry, width in zip(real, widths)
         ))
         with pytest.raises(RuntimeError, match=re.escape(f"{real[1].profile.as_tuple()}, {widths[1]})")):
             verify_classification(4, broken)
+
+
+def test_replace_keeps_the_catalog_and_its_entry_count():
+    cat = enumerate_three_edge(3)
+    assert len(cat) == len(cat.entries) == 12
+    assert cat._replace(r=cat.r) == cat
+    assert len(cat._replace(entries=cat.min_degree_two)) == len(cat.min_degree_two)
 
 
 def test_suspension_width_skips_widths_past_the_vertex_capacity():

@@ -697,3 +697,18 @@ class TestErrors:
         assert code == 1 and "--k" in err
         code, _, err = run(capsys, "construct", "--family", "complete", "--n", "5")
         assert code == 1 and "--r" in err
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Each CLI call pays for its imports. Compared against a bare
+    # interpreter, so whatever site imports is not counted.
+    env = dict(os.environ, PYTHONPATH=str(Path(turankit.__file__).parents[1]))
+    loaded = [
+        set(subprocess.run([sys.executable, "-c", f"import sys{extra}; print(*sys.modules)"],
+                           capture_output=True, text=True, check=True, env=env,
+                           timeout=60).stdout.split())
+        for extra in ("", ", turankit.cli")
+    ]
+    added = loaded[1] - loaded[0]
+    assert "turankit.cli" in added
+    assert not added & {"dataclasses", "inspect"}

@@ -1,6 +1,8 @@
 """Core hypergraph type: construction, degrees, links, isomorphism, copies."""
 
+import copy
 import itertools
+import pickle
 import random
 import time
 import tracemalloc
@@ -372,6 +374,30 @@ class TestVertexMap:
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "record, change, message",
+    [
+        (K3, {"edges": (0b111,)}, r"edge \[0, 1, 2\] does not have exactly 2 vertices"),
+        (K3, {"n": 65}, r"vertex count 65 outside 0\.\.64"),
+        (VertexMap.identity(3), {"images": (0, 3, 1)}, r"image 3 outside 0\.\.2"),
+        (Partition(3, 0b001), {"part1": 0b1000}, "part1 uses a vertex outside 0..n-1"),
+    ],
+    ids=["hypergraph-edge", "hypergraph-n", "vertex-map", "partition"],
+)
+def test_replace_runs_the_constructor_checks(record, change, message):
+    with pytest.raises(ValueError, match=message):
+        record._replace(**change)
+    assert record._replace() == record and type(record._replace()) is type(record)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, lambda h: pickle.loads(pickle.dumps(h))],
+                         ids=["copy", "pickle"])
+def test_copy_and_pickle_give_an_equal_hypergraph(clone):
+    h = clone(K4_MINUS)
+    assert h == K4_MINUS and type(h) is Hypergraph
+    assert repr(h) == "Hypergraph(n=4, r=3, edges=(7, 11, 13))"
 
 
 BIG = 10**8
