@@ -172,7 +172,7 @@ def cmd_construct(args) -> int:
             print(f"# best part sizes {part.sizes}: {count} edges", file=sys.stderr)
         else:
             if args.part1 is not None:
-                part = Partition.from_part1(args.n, [int(t) for t in args.part1.split(",")])
+                part = Partition.from_part1(args.n, args.part1)
             elif args.part1_size is not None:
                 check_capacity(args.part1_size)
                 part = Partition(args.n, (1 << args.part1_size) - 1)
@@ -416,85 +416,99 @@ def cmd_stability(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+def _vertex_list(text: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+
+
+def _add_flags(p: _Parser, func) -> None:
+    """Add one subcommand's flags, in the order its --help lists them."""
+    if func in (cmd_solve, cmd_density, cmd_export):
+        p.add_argument("--family", required=True, help="named family or hypergraph file")
+        p.add_argument("--k", type=int)
+        p.add_argument("--i", type=int)
+        p.add_argument("--r", type=int)
+        p.add_argument("--m", type=int)
+    if func in (cmd_solve, cmd_density):
+        p.add_argument("--budget-nodes", type=int, dest="budget_nodes")
+        p.add_argument("--budget-secs", type=float, dest="budget_secs")
+        p.add_argument("--seed-construction", action="store_true", dest="seed_construction",
+                       help="seed the incumbent from the odd-bipartite construction when applicable")
+    if func in (cmd_solve, cmd_export):
+        p.add_argument("--n", type=int, required=True)
+    if func is cmd_construct:
+        p.add_argument("--family", required=True, choices=(
+            "expanded-triangle", "suspension", "odd-bipartite", "matching", "complete"))
+        p.add_argument("--k", type=int, help="block size (expanded-triangle) or half-uniformity (odd-bipartite)")
+        p.add_argument("--n", type=int)
+        p.add_argument("--r", type=int)
+        p.add_argument("--m", type=int)
+        p.add_argument("--input", help="base hypergraph file (suspension)")
+        part = p.add_mutually_exclusive_group()
+        part.add_argument("--part1", type=_vertex_list,
+                          help="comma-separated part1 vertices (odd-bipartite)")
+        part.add_argument("--part1-size", type=int, dest="part1_size")
+        part.add_argument("--best", action="store_true", help="pick the edge-maximizing part sizes")
+        p.add_argument("--output")
+    elif func is cmd_classify:
+        p.add_argument("--r", type=int, required=True)
+    elif func is cmd_reduce:
+        p.add_argument("--input", required=True)
+        p.add_argument("--to-degree3", action="store_true", dest="to_degree3",
+                       help="reduce into a max-degree-3 target instead of the plain fold chain")
+    elif func is cmd_hom:
+        p.add_argument("--source", required=True)
+        p.add_argument("--target", required=True)
+    elif func is cmd_density:
+        p.add_argument("--n-from", type=int, required=True, dest="n_from")
+        p.add_argument("--n-to", type=int, required=True, dest="n_to")
+    elif func is cmd_export:
+        p.add_argument("--format", choices=("cnf", "ilp"), required=True, dest="export_format")
+        p.add_argument("--at-least", type=int, dest="at_least",
+                       help="CNF only: also require at least this many selected edges")
+        p.add_argument("--output")
+    elif func is cmd_stability:
+        p.add_argument("--input", required=True)
+        p.add_argument("--balanced", action="store_true",
+                       help="restrict the partition scan to near-balanced part sizes")
+        p.add_argument("--threshold", type=int)
+        p.add_argument("--scan-links", action="store_true", dest="scan_links",
+                       help="per-vertex link partition table (odd uniformity)")
+
+
+class _Subcommand:
+    """The subparsers' `parser_class`: a stand-in for a subcommand's parser.
+    argparse calls only `parse_known_args` on a subparser, so the real one
+    is built there, and a call builds its own subcommand's parser only."""
+
+    def __init__(self, func, **kwargs):
+        self.func, self.kwargs = func, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self.kwargs)
+        _add_flags(parser, self.func)
+        parser.set_defaults(func=self.func)
+        return parser.parse_known_args(args, namespace)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="turankit", description=__doc__)
     parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
     parser.add_argument("--cache", default="./turan-cache.jsonl",
                         help="result cache path (JSONL), used by solve and density")
     parser.add_argument("--quiet", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="emit a named construction in the text format")
-    p.add_argument("--family", required=True,
-                   choices=("expanded-triangle", "suspension", "odd-bipartite",
-                            "matching", "complete"))
-    p.add_argument("--k", type=int, help="block size (expanded-triangle) or half-uniformity (odd-bipartite)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--input", help="base hypergraph file (suspension)")
-    part = p.add_mutually_exclusive_group()
-    part.add_argument("--part1", help="comma-separated part1 vertices (odd-bipartite)")
-    part.add_argument("--part1-size", type=int, dest="part1_size")
-    part.add_argument("--best", action="store_true", help="pick the edge-maximizing part sizes")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("classify", help="catalog of three-edge classes for one uniformity")
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("reduce", help="fold reduction trace for a three-edge hypergraph")
-    p.add_argument("--input", required=True)
-    p.add_argument("--to-degree3", action="store_true", dest="to_degree3",
-                   help="reduce into a max-degree-3 target instead of the plain fold chain")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("hom", help="homomorphism witness between two hypergraph files")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.set_defaults(func=cmd_hom)
-
-    family = argparse.ArgumentParser(add_help=False)
-    family.add_argument("--family", required=True, help="named family or hypergraph file")
-    family.add_argument("--k", type=int)
-    family.add_argument("--i", type=int)
-    family.add_argument("--r", type=int)
-    family.add_argument("--m", type=int)
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget-nodes", type=int, dest="budget_nodes")
-    budget.add_argument("--budget-secs", type=float, dest="budget_secs")
-    budget.add_argument("--seed-construction", action="store_true", dest="seed_construction",
-                        help="seed the incumbent from the odd-bipartite construction when applicable")
-
-    p = sub.add_parser("solve", parents=[family, budget],
-                       help="exact optimum for a forbidden three-edge family")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("density", parents=[family, budget], help="density sequence over a range of n")
-    p.add_argument("--n-from", type=int, required=True, dest="n_from")
-    p.add_argument("--n-to", type=int, required=True, dest="n_to")
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("export", parents=[family],
-                       help="emit the conflict system as CNF or an integer program")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("cnf", "ilp"), required=True, dest="export_format")
-    p.add_argument("--at-least", type=int, dest="at_least",
-                   help="CNF only: also require at least this many selected edges")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_export)
-
-    p = sub.add_parser("stability", help="odd-bipartite deviation diagnostics")
-    p.add_argument("--input", required=True)
-    p.add_argument("--balanced", action="store_true",
-                   help="restrict the partition scan to near-balanced part sizes")
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--scan-links", action="store_true", dest="scan_links",
-                   help="per-vertex link partition table (odd uniformity)")
-    p.set_defaults(func=cmd_stability)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub.add_parser("construct", func=cmd_construct, help="emit a named construction in the text format")
+    sub.add_parser("classify", func=cmd_classify, help="catalog of three-edge classes for one uniformity")
+    sub.add_parser("reduce", func=cmd_reduce, help="fold reduction trace for a three-edge hypergraph")
+    sub.add_parser("hom", func=cmd_hom, help="homomorphism witness between two hypergraph files")
+    sub.add_parser("solve", func=cmd_solve, help="exact optimum for a forbidden three-edge family")
+    sub.add_parser("density", func=cmd_density, help="density sequence over a range of n")
+    sub.add_parser("export", func=cmd_export,
+                   help="emit the conflict system as CNF or an integer program")
+    sub.add_parser("stability", func=cmd_stability, help="odd-bipartite deviation diagnostics")
     return parser
 
 

@@ -25,6 +25,7 @@ from turankit import (
     solve_exact,
     suspension,
 )
+from turankit import cli
 from turankit.cli import main
 
 from helpers import K33_RECORD, NON_RECORDS
@@ -91,6 +92,14 @@ class TestConstruct:
             capsys, "construct", "--family", "odd-bipartite", "--n", "6", "--k", "1", *part_flags
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("part1", ["a", "1,,2", "0,x", ""])
+    def test_odd_bipartite_bad_part1_list_names_the_flag(self, capsys, part1):
+        code, out, err = run(
+            capsys, "construct", "--family", "odd-bipartite", "--n", "5", "--k", "1", "--part1", part1
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: argument --part1: not a comma-separated list of integers: {part1!r}\n"
 
     def test_odd_bipartite_needs_a_part(self, capsys):
         code, out, err = run(capsys, "construct", "--family", "odd-bipartite", "--n", "6", "--k", "2")
@@ -342,6 +351,19 @@ class TestSolveAndDensity:
             "error: density increased from n=5 (1/2) to n=6 (3/5): "
             "a cached optimum may be too low, or the solver may be wrong\n"
         )
+
+    def test_empty_cache_flag_turns_the_cache_off(self, capsys, tmp_path, monkeypatch):
+        # ./turan-cache.jsonl, the default, holds a corrupt line: --cache ''
+        # neither reads nor writes it.
+        monkeypatch.chdir(tmp_path)
+        default = tmp_path / "turan-cache.jsonl"
+        default.write_bytes(b"not json\n")
+        argv = ["solve", "--family", "triangle", "--n", "5"]
+        code, out, err = run(capsys, "--cache", "", *argv)
+        assert (code, err) == (0, "") and "optimum=6" in out
+        assert default.read_bytes() == b"not json\n"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and "corrupt cache line 1" in err
 
     def test_cache_reused_across_runs(self, capsys, tmp_path):
         cache = tmp_path / "c.jsonl"
@@ -697,6 +719,80 @@ class TestErrors:
         assert code == 1 and "--k" in err
         code, _, err = run(capsys, "construct", "--family", "complete", "--n", "5")
         assert code == 1 and "--r" in err
+
+
+# Each subcommand's flags as its --help lists them, and a quick call of it
+# (the .hg files are written by test_a_call_builds_only_its_own_parser).
+SUBCOMMANDS = {
+    "construct": (["--family", "--k", "--n", "--r", "--m", "--input", "--part1", "--part1-size",
+                   "--best", "--output"],
+                  ["construct", "--family", "expanded-triangle", "--k", "1"]),
+    "classify": (["--r"], ["classify", "--r", "2"]),
+    "reduce": (["--input", "--to-degree3"], ["reduce", "--input", "m.hg"]),
+    "hom": (["--source", "--target"], ["hom", "--source", "m.hg", "--target", "m.hg"]),
+    "solve": (["--family", "--k", "--i", "--r", "--m", "--budget-nodes", "--budget-secs",
+               "--seed-construction", "--n"],
+              ["--cache", "", "solve", "--family", "triangle", "--n", "4"]),
+    "density": (["--family", "--k", "--i", "--r", "--m", "--budget-nodes", "--budget-secs",
+                 "--seed-construction", "--n-from", "--n-to"],
+                ["--cache", "", "density", "--family", "triangle", "--n-from", "3", "--n-to", "4"]),
+    "export": (["--family", "--k", "--i", "--r", "--m", "--n", "--format", "--at-least", "--output"],
+               ["export", "--family", "triangle", "--n", "4", "--format", "cnf"]),
+    "stability": (["--input", "--balanced", "--threshold", "--scan-links"],
+                  ["stability", "--input", "k4.hg"]),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_a_call_builds_only_its_own_parser(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.hg").write_text("n=6 r=2\n0 1\n2 3\n4 5\n")
+        (tmp_path / "k4.hg").write_text("n=4 r=2\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        code, _, err = run(capsys, *SUBCOMMANDS[command][1])
+        assert (code, err) == (0, "")
+        assert built == ["turankit", f"turankit {command}"]
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help_lists_its_flags(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: turankit {command} ")
+        listed = re.findall(r"^  (-h, --help|--[\w-]+)", out, re.MULTILINE)
+        assert listed == ["-h, --help", *SUBCOMMANDS[command][0]]
+
+    def test_top_level_help_lists_every_subcommand(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"^    (\w+) +(\S.*)$", out, re.MULTILINE) == [
+            ("construct", "emit a named construction in the text format"),
+            ("classify", "catalog of three-edge classes for one uniformity"),
+            ("reduce", "fold reduction trace for a three-edge hypergraph"),
+            ("hom", "homomorphism witness between two hypergraph files"),
+            ("solve", "exact optimum for a forbidden three-edge family"),
+            ("density", "density sequence over a range of n"),
+            ("export", "emit the conflict system as CNF or an integer program"),
+            ("stability", "odd-bipartite deviation diagnostics"),
+        ]
+
+    def test_unknown_subcommand_exit_one(self, capsys):
+        code, out, err = run(capsys, "bogus")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument command: invalid choice: 'bogus' (choose from ")
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
