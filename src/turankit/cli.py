@@ -319,7 +319,7 @@ def cmd_solve(args) -> int:
 def cmd_density(args) -> int:
     if args.n_from > args.n_to:
         raise UsageError(f"--n-from {args.n_from} exceeds --n-to {args.n_to}")
-    check_capacity(args.n_from)
+    check_capacity(args.n_from)  # the ends bound the list; density_sequence checks each n
     check_capacity(args.n_to)
     name, records = _solve_range(args, list(range(args.n_from, args.n_to + 1)))
     rows = [
@@ -513,9 +513,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -525,6 +524,12 @@ def main(argv=None) -> int:
         return 1
     except (UsageError, ValueError, OSError, DensityIncreased) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:  # outside a search, which returns its incumbent
+        print("error: interrupted", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

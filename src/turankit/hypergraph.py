@@ -14,7 +14,7 @@ from math import factorial, perm, prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 MAX_VERTICES = 64
-MAX_BUILD = 10_000_000  # r-sets or conflicts built, at about 1.2 µs and under 100 B each
+MAX_BUILD = 10_000_000  # r-sets or conflicts built (about 1.2 µs, under 100 B each), or partitions scanned
 
 
 def check_capacity(n: int, r: int = 1) -> None:
@@ -27,7 +27,7 @@ def check_capacity(n: int, r: int = 1) -> None:
 
 
 def check_build(count: int, items: str) -> None:
-    """The one build limit (r-sets or conflicts), checked after check_capacity."""
+    """The one work limit (r-sets or conflicts built, partitions scanned), checked after check_capacity."""
     if count > MAX_BUILD:
         raise ValueError(f"{count:,} {items} exceed the build limit {MAX_BUILD:,}")
 

@@ -51,6 +51,7 @@ STATUS_OPTIMAL = "proved-optimal"
 STATUS_LOWER_BOUND = "lower-bound-only"
 CLOSED_BY_SEARCH = "search"
 CLOSED_BY_CAP = "cap"
+CLOSED_BY_INTERRUPT = "interrupted"
 
 
 class _Stop(Exception):
@@ -85,8 +86,9 @@ class SolveRecord(NamedTuple):
 
     closed_by says how a proof closed: "search" when the search ran out of
     nodes to explore, "cap" when the incumbent met the upper bound passed
-    to solve_exact. The field order is the key order of the JSON object (a
-    cache line), which holds closed_by only when it is "cap"."""
+    to solve_exact; "interrupted" marks a lower bound cut short by Ctrl-C.
+    The field order is the key order of the JSON object (a cache line),
+    which holds closed_by only when it is "cap"."""
 
     family_profile: RegionProfile
     family_name: str
@@ -222,10 +224,12 @@ def solve_exact(
     disjoint undecided parts from the count of undecided edges. Completing
     proves optimality. The node budget, the deadline (polled every 256
     nodes) and the cap end the search by one exception, _Stop, whose args
-    are the record's status and closed_by: lower-bound-only on a budget. The
-    witness is re-verified either way. budget_nodes must be at least 1 (a
-    budget of N allows N nodes) and budget_secs a non-negative number (0.0
-    stops at the first deadline poll); anything else raises ValueError.
+    are the record's status and closed_by: lower-bound-only on a budget. A
+    KeyboardInterrupt in the search also gives lower-bound-only, closed_by
+    "interrupted". The witness is re-verified in every case. budget_nodes
+    must be at least 1 (a budget of N allows N nodes) and budget_secs a
+    non-negative number (0.0 stops at the first deadline poll); anything
+    else raises ValueError.
 
     cap, when given, is a stop rule: the caller vouches that no
     conflict-free subset is larger, so the search stops, proved optimal
@@ -384,6 +388,10 @@ def solve_exact(
             dfs(*include(0, 0, all_conflicts, 0, 0), all_conflicts, counts)
         except _Stop as stop:
             status, closed_by = stop.args
+        except KeyboardInterrupt:
+            # It may land between the two incumbent updates: the mask counts.
+            status, closed_by = STATUS_LOWER_BOUND, CLOSED_BY_INTERRUPT
+            best_val = best_mask.bit_count()
 
     witness = tuple(
         system.ground[i] for i in range(m) if best_mask >> i & 1
@@ -509,8 +517,8 @@ def solve_family(
     budget_secs: float | None = None,
     seed_witness: Optional[Hypergraph | Iterable[int]] = None,
 ) -> SolveRecord:
-    """density_sequence at the one n, so never capped. Budgets are checked
-    before the cache is read. A hit is the stored record as is (family_name,
+    """density_sequence at the one n, so never capped. Budgets and sizes are
+    checked before the cache is read. A hit is the stored record as is (family_name,
     nodes and millis too); its optimum is trusted and only its witness is
     checked: a copy of f in it raises ValueError naming the cache file. A
     line that is too low is served until deleted or SOLVER_VERSION bumped."""
@@ -533,13 +541,15 @@ def density_sequence(
     seed_for: Optional[dict[int, Hypergraph | Iterable[int]]] = None,
 ) -> list[SolveRecord]:
     """Solve a run of n values in ascending order and audit the densities.
-    The pattern and the budgets are checked first, even for an empty run.
+    The pattern, the budgets, then each n's sizes (check_capacity and the
+    build limit) are checked first, even for an empty run, so a run that
+    crosses a limit reads no cache and solves nothing.
 
     The density ex(n)/C(n, r) of consecutive proved-optimal entries must be
     non-increasing; a violation raises DensityIncreased, since it can only
     come from a solver bug or a cached optimum that is too low. Entries that
     exhausted their budget, and entries with n < r, are kept but excluded
-    from the audit.
+    from the audit; an interrupted entry (see solve_exact) ends the run.
     An entry solved under the cap below passes it by construction, whether
     or not it stopped there, so in a capped chain only an independent check
     (the tests compare against uncapped search and a subset scan) catches
@@ -558,9 +568,14 @@ def density_sequence(
     """
     profile = pattern_profile(f)
     _check_budgets(budget_nodes, budget_secs)
+    n_values = sorted(n_values)
+    for n in n_values:
+        check_capacity(n, f.r)
+        check_build(copy_count(profile, n), "conflicts")
+        check_build(comb(n, f.r), "r-sets")
     records = []
     proved: dict[int, int] = {}  # n -> ex(n), proved by a search in this call
-    for n in sorted(n_values):
+    for n in n_values:
         record = cache.lookup(profile, n) if cache is not None else None
         if record is not None:
             if next(copies_of(f, record.witness_hypergraph()), None) is not None:
@@ -579,6 +594,8 @@ def density_sequence(
                 if cache is not None:
                     cache.append(record)
         records.append(record)
+        if record.closed_by == CLOSED_BY_INTERRUPT:
+            break
     audit_density_monotone(records)
     return records
 

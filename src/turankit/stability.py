@@ -12,9 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .constructions import Partition, check_even_uniformity, odd_bipartite, odd_bipartite_count
-from .hypergraph import Hypergraph, link
-
-BEST_PARTITION_MAX_N = 24
+from .hypergraph import Hypergraph, check_build, link
 
 
 class DeviationReport(NamedTuple):
@@ -68,15 +66,15 @@ def best_partition(h: Hypergraph, balanced_only: bool = False) -> tuple[Partitio
     partitions with vertex 0 in part1 are scanned, in Gray-code order: each
     step moves one vertex and flips its edges' parities, O(1) big-int
     operations per partition (5,274 4-edges at n = 24: about 11 s on
-    CPython 3.11). Ties break toward the smallest part1 bit vector.
+    CPython 3.11). The scan counts against the build limit, so n <= 24.
+    Ties break toward the smallest part1 bit vector.
     balanced_only restricts to part sizes differing by at most one.
     """
     check_even_uniformity(h.r)
     n = h.n
-    if n > BEST_PARTITION_MAX_N:
-        raise ValueError(f"partition scan supports n <= {BEST_PARTITION_MAX_N}, got {n}")
     if n < 1:
         raise ValueError("need at least one vertex")
+    check_build(1 << (n - 1), "partitions")
     m = len(h.edges)
     # Bit i of inc[v] / parity: edge i holds v / meets part1 in an odd number of vertices.
     inc = [sum(1 << i for i, e in enumerate(h.edges) if e >> v & 1) for v in range(n)]

@@ -1,11 +1,29 @@
 """Shared test oracles, deliberately independent of the library's fast paths:
 exhaustive subset scans, permutation-based isomorphism, brute-force copy and
 homomorphism search, a miniature DPLL solver for CNF checks, and cache
-lines that break one record rule each."""
+lines that break one record rule each, and a solver clock that interrupts
+the search."""
 
 import itertools
+import sys
+import time
+from types import SimpleNamespace
 
 from turankit import Hypergraph, edge_mask, edge_vertices, from_masks
+
+
+def interrupt_at_first_poll(monkeypatch) -> None:
+    """Make the solver's clock raise KeyboardInterrupt at a search's first
+    deadline poll (its 256th node), as Ctrl-C there would. The clock reads
+    at a solve's start and end pass through."""
+    from turankit import solver
+
+    def monotonic():
+        if sys._getframe(1).f_code.co_name == "dfs":
+            raise KeyboardInterrupt
+        return time.monotonic()
+
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=monotonic))
 
 
 def subset_scan_optimum(system) -> int:

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import pytest
 import turankit
 from turankit import (
     Partition,
+    copies_of,
     expanded_triangle,
     export_cnf,
     forbidden_triples,
@@ -28,7 +30,7 @@ from turankit import (
 from turankit import cli
 from turankit.cli import main
 
-from helpers import K33_RECORD, NON_RECORDS
+from helpers import K33_RECORD, NON_RECORDS, interrupt_at_first_poll
 
 
 def run(capsys, *argv):
@@ -654,15 +656,22 @@ class TestErrors:
             (["density", "--family", "triangle", "--n-from", "60", "--n-to", "65",
               "--budget-secs", "0.01"], "vertex count 65 outside 0..64"),
             (["stability", "--input", "huge-r.hg"], "uniformity 1000000000 outside 1..64"),
+            # n = 16 passes the limit (3,203,200 conflicts) but would take
+            # GBs to set up; n = 18 does not, so nothing is solved.
+            (["density", "--family", "expanded-triangle", "--k", "3", "--n-from", "16", "--n-to", "18",
+              "--budget-nodes", "1"], "13,613,600 conflicts exceed the build limit 10,000,000"),
+            (["stability", "--input", "n25.hg"], "16,777,216 partitions exceed the build limit 10,000,000"),
         ],
         ids=["odd-bipartite-best-n", "odd-bipartite-best-k", "part1-negative",
-             "part1-size-negative", "solve-seeded-n", "density-past-64", "stability-header-r"],
+             "part1-size-negative", "solve-seeded-n", "density-past-64", "stability-header-r",
+             "density-conflicts", "stability-partitions"],
     )
     def test_runaway_sizes_exit_at_once(self, capsys, tmp_path, monkeypatch, argv, message):
         # Each is refused before anything of its size is built, scanned or
         # solved: no output and no cache file.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "huge-r.hg").write_text("n=3 r=1000000000\n")
+        (tmp_path / "n25.hg").write_text("n=25 r=2\n0 1\n")
         start = time.monotonic()
         code, out, err = run(capsys, "--cache", "c.jsonl", *argv)
         assert time.monotonic() - start < 1
@@ -696,6 +705,17 @@ class TestErrors:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == b""
+
+    @pytest.mark.parametrize(
+        "exc, message", [(KeyboardInterrupt, "interrupted"), (MemoryError, "out of memory")]
+    )
+    def test_interrupt_or_memory_error_outside_a_search(self, capsys, monkeypatch, exc, message):
+        def density_sequence(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "density_sequence", density_sequence)
+        assert run(capsys, "--cache", "", "solve", "--family", "triangle", "--n", "5") == (
+            1, "", f"error: {message}\n")
 
     def test_unknown_family(self, capsys, tmp_path):
         code, _, err = run(
@@ -741,6 +761,52 @@ SUBCOMMANDS = {
     "stability": (["--input", "--balanced", "--threshold", "--scan-links"],
                   ["stability", "--input", "k4.hg"]),
 }
+
+
+class TestInterrupt:
+    """Ctrl-C in a search prints the verified incumbent as a lower bound and
+    exits 2; the record is not cached, and a density run solves no later n."""
+
+    def test_solve(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        interrupt_at_first_poll(monkeypatch)
+        code, out, err = run(capsys, "--cache", "c.jsonl", "solve", "--family", "triangle", "--n", "11")
+        assert (code, err) == (2, "")
+        assert re.fullmatch(r"family=triangle n=11 r=2 optimum=\d+ status=lower-bound-only", out.splitlines()[0])
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_density(self, capsys, tmp_path, monkeypatch):
+        # k4minus takes 71 nodes at n = 6 and 3,669 at n = 7.
+        monkeypatch.chdir(tmp_path)
+        interrupt_at_first_poll(monkeypatch)
+        code, out, err = run(
+            capsys, "--cache", "c.jsonl", "--format", "csv",
+            "density", "--family", "k4minus", "--n-from", "6", "--n-to", "8",
+        )
+        assert (code, err) == (2, "")
+        assert [row.split(",")[-1] for row in out.splitlines()] == ["status", "proved-optimal", "lower-bound-only"]
+        assert [json.loads(line)["n"] for line in (tmp_path / "c.jsonl").read_text().splitlines()] == [6]
+
+    def test_sigint_to_the_process(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(turankit.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "turankit.cli", "--cache", "c.jsonl", "solve", "--family", "k4minus", "--n", "9"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            # Python maps SIGINT to KeyboardInterrupt only if it starts with the default action.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            time.sleep(1)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (2, "")
+        lines = out.splitlines()
+        assert lines[0].endswith(" status=lower-bound-only")
+        witness = [list(map(int, edge.split())) for edge in lines[2].removeprefix("witness: ").split(" / ")]
+        assert next(copies_of(suspension(expanded_triangle(1), 3), make_hypergraph(9, 3, witness)), None) is None
+        assert not (tmp_path / "c.jsonl").exists()
 
 
 class TestParser:

@@ -14,7 +14,9 @@ from turankit import (
     Hypergraph,
     Partition,
     RegionProfile,
+    ResultCache,
     VertexMap,
+    best_partition,
     canonical_regions,
     complete_rgraph,
     copies_of,
@@ -505,6 +507,13 @@ def test_copy_count_of_the_triangle():
 
 def test_build_limit_boundary(monkeypatch):
     assert MAX_BUILD == 10_000_000
+    # A partition scan at n = 6 covers 2^5 = 32 partitions.
+    k6 = complete_rgraph(6, 2)
+    monkeypatch.setattr("turankit.hypergraph.MAX_BUILD", 32)
+    assert best_partition(k6)[1].total == 6
+    monkeypatch.setattr("turankit.hypergraph.MAX_BUILD", 31)
+    with pytest.raises(ValueError, match="^32 partitions exceed the build limit 31$"):
+        best_partition(k6)
     # K_6^(2) has 15 r-sets and K_6 holds 20 triangles.
     monkeypatch.setattr("turankit.hypergraph.MAX_BUILD", 20)
     assert len(forbidden_triples(K3, 6).conflicts) == 20
@@ -514,3 +523,13 @@ def test_build_limit_boundary(monkeypatch):
         forbidden_triples(K3, 6)
     with pytest.raises(ValueError, match="^20 r-sets exceed the build limit 19$"):
         complete_rgraph(6, 3)
+
+
+def test_density_run_checks_every_n_before_solving(monkeypatch, tmp_path):
+    # K_7 holds 35 triangles: n = 7 is refused before n = 5 and 6 are
+    # solved, so nothing is looked up or cached.
+    monkeypatch.setattr("turankit.hypergraph.MAX_BUILD", 34)
+    path = tmp_path / "c.jsonl"
+    with pytest.raises(ValueError, match="^35 conflicts exceed the build limit 34$"):
+        density_sequence(K3, [5, 6, 7], cache=ResultCache(str(path)))
+    assert not path.exists()

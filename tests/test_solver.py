@@ -47,6 +47,7 @@ from helpers import (
     K33_RECORD,
     NON_RECORDS,
     dpll_satisfiable,
+    interrupt_at_first_poll,
     milp_optimum,
     parse_dimacs,
     parse_lp_maximize,
@@ -421,6 +422,28 @@ class TestDensitySequence:
         records = density_sequence(K3, [1, 2, 3, 4])
         assert [r.density() for r in records] == [0, 1, Fraction(2, 3), Fraction(2, 3)]
         assert all(r.proved_optimal for r in records)
+
+
+class TestInterrupt:
+    """Ctrl-C in a search returns its verified incumbent as a lower bound,
+    which is never cached; triangle n = 11 takes 2,557 nodes, so its search
+    reaches the first deadline poll."""
+
+    def test_solve_exact_returns_the_incumbent(self, monkeypatch):
+        interrupt_at_first_poll(monkeypatch)
+        record = solve_exact(forbidden_triples(K3, 11))
+        assert (record.status, record.closed_by, record.nodes) == (STATUS_LOWER_BOUND, "interrupted", 256)
+        assert record.optimum == len(record.witness) > 0
+        assert next(copies_of(K3, record.witness_hypergraph()), None) is None
+
+    def test_density_sequence_stops_at_the_interrupted_n(self, monkeypatch, tmp_path):
+        interrupt_at_first_poll(monkeypatch)
+        path = tmp_path / "c.jsonl"
+        records = density_sequence(K3, [5, 6, 11, 12], cache=ResultCache(str(path)))
+        assert [(r.n, r.status, r.closed_by) for r in records] == [
+            (5, STATUS_OPTIMAL, "search"), (6, STATUS_OPTIMAL, "cap"), (11, STATUS_LOWER_BOUND, "interrupted"),
+        ]
+        assert [r.n for r in ResultCache(str(path)).records()] == [5, 6]
 
 
 class TestAveragingCap:

@@ -134,7 +134,7 @@ class TestBestPartition:
         assert unrestricted_report.total == 0 <= report.total
 
     def test_budget_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^16,777,216 partitions exceed the build limit 10,000,000$"):
             best_partition(from_masks(25, 2, [0b11]))
 
     @pytest.mark.parametrize("balanced_only", [False, True])
