@@ -277,25 +277,23 @@ def _budget(flag_value, var: str, parse):
 
 def _solve_range(args, n_values: list[int]) -> tuple[str, list[SolveRecord]]:
     """Solve the --family pattern at each n: budgets from the flags, else the
-    environment; with --seed-construction, the odd-bipartite seed when the
-    pattern is an expanded triangle; the --cache file when set. Returns the
-    family's display name and the audited records."""
+    environment; with --seed-construction, the odd-bipartite seed of each n
+    searched when the pattern is an expanded triangle; the --cache file when
+    set. Returns the family's display name and the audited records."""
     f, name = _resolve_family(args)
     nodes = _budget(args.budget_nodes, ENV_BUDGET_NODES, int)
     secs = _budget(args.budget_secs, ENV_BUDGET_SECS, float)
     # An expanded triangle is its own r-suspension, of width r/2.
     seeded = args.seed_construction and suspension_width(pattern_profile(f), f.r) == f.r / 2
-    seeds = {n: max_odd_bipartite(n, f.r)[1] for n in n_values} if seeded else {}
-    records = density_sequence(
+    return name, density_sequence(
         f,
         n_values,
         family_name=name,
         cache=ResultCache(args.cache) if args.cache else None,
         budget_nodes=nodes,
         budget_secs=secs,
-        seed_for=seeds,
+        seed_for=(lambda n: max_odd_bipartite(n, f.r)[1]) if seeded else None,
     )
-    return name, records
 
 
 def cmd_solve(args) -> int:

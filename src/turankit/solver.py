@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import starmap
 from math import comb
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .constructions import complete_rgraph
 from .hypergraph import (
@@ -517,14 +517,15 @@ def solve_family(
     budget_secs: float | None = None,
     seed_witness: Optional[Hypergraph | Iterable[int]] = None,
 ) -> SolveRecord:
-    """density_sequence at the one n, so never capped. Budgets and sizes are
-    checked before the cache is read. A hit is the stored record as is (family_name,
-    nodes and millis too); its optimum is trusted and only its witness is
-    checked: a copy of f in it raises ValueError naming the cache file. A
-    line that is too low is served until deleted or SOLVER_VERSION bumped."""
+    """density_sequence at the one n, so never capped; seed_witness seeds it
+    on a miss. Budgets and sizes are checked before the cache is read. A hit
+    is the stored record as is (family_name, nodes and millis too); its
+    optimum is trusted and only its witness is checked: a copy of f in it
+    raises ValueError naming the cache file. A line that is too low is
+    served until deleted or SOLVER_VERSION bumped."""
     return density_sequence(
         f, [n], family_name=family_name, cache=cache, budget_nodes=budget_nodes,
-        budget_secs=budget_secs, seed_for={n: seed_witness},
+        budget_secs=budget_secs, seed_for=lambda _: seed_witness,
     )[0]
 
 
@@ -538,12 +539,13 @@ def density_sequence(
     cache: Optional[ResultCache] = None,
     budget_nodes: int | None = None,
     budget_secs: float | None = None,
-    seed_for: Optional[dict[int, Hypergraph | Iterable[int]]] = None,
+    seed_for: Optional[Callable[[int], Hypergraph | Iterable[int] | None]] = None,
 ) -> list[SolveRecord]:
     """Solve a run of n values in ascending order and audit the densities.
     The pattern, the budgets, then each n's sizes (check_capacity and the
     build limit) are checked first, even for an empty run, so a run that
-    crosses a limit reads no cache and solves nothing.
+    crosses a limit reads no cache and solves nothing. seed_for(n) is called
+    once per n searched, after its build (never for a hit), to seed it.
 
     The density ex(n)/C(n, r) of consecutive proved-optimal entries must be
     non-increasing; a violation raises DensityIncreased, since it can only
@@ -586,7 +588,7 @@ def density_sequence(
                 forbidden_triples(f, n, family_name),
                 budget_nodes=budget_nodes,
                 budget_secs=budget_secs,
-                seed_witness=(seed_for or {}).get(n),
+                seed_witness=seed_for(n) if seed_for else None,
                 cap=prev * n // (n - f.r) if prev is not None and n > f.r else None,
             )
             if record.proved_optimal:

@@ -383,6 +383,27 @@ class TestSolveAndDensity:
         )
         assert code == 0 and "optimum=10" in out
 
+    def test_seed_construction_builds_no_seed_on_a_hit(self, capsys, tmp_path, monkeypatch):
+        argv = ["--cache", str(tmp_path / "c.jsonl"),
+                "solve", "--family", "expanded-triangle", "--k", "2", "--n", "7", "--seed-construction"]
+        first = run(capsys, *argv)
+        assert first[0] == 0
+
+        def max_odd_bipartite(*args):
+            raise AssertionError("a seed built for a cache hit")
+
+        monkeypatch.setattr(cli, "max_odd_bipartite", max_odd_bipartite)
+        assert run(capsys, *argv) == first
+
+    def test_seeded_run_over_the_limit_reports_the_unseeded_error(self, capsys, monkeypatch):
+        # Seeds built for every n before the run's checks would stop the
+        # seeded run at n = 46's 1,035 r-sets, not at n = 20's 1,140 conflicts.
+        monkeypatch.setattr("turankit.hypergraph.MAX_BUILD", 1000)
+        argv = ["--cache", "", "density", "--family", "triangle", "--n-from", "3", "--n-to", "60"]
+        unseeded = run(capsys, *argv)
+        assert unseeded == (1, "", "error: 1,140 conflicts exceed the build limit 1,000\n")
+        assert run(capsys, *argv, "--seed-construction") == unseeded
+
     @pytest.mark.parametrize("r", ["2", "3"])
     def test_seed_construction_with_two_edge_pattern_rejected(self, capsys, tmp_path, r):
         code, out, err = run(
@@ -660,11 +681,14 @@ class TestErrors:
             # GBs to set up; n = 18 does not, so nothing is solved.
             (["density", "--family", "expanded-triangle", "--k", "3", "--n-from", "16", "--n-to", "18",
               "--budget-nodes", "1"], "13,613,600 conflicts exceed the build limit 10,000,000"),
+            # Seeds built for every n before the run's checks take about 10 s here.
+            (["density", "--family", "expanded-triangle", "--k", "4", "--n-from", "20", "--n-to", "26",
+              "--seed-construction"], "727,476,750 conflicts exceed the build limit 10,000,000"),
             (["stability", "--input", "n25.hg"], "16,777,216 partitions exceed the build limit 10,000,000"),
         ],
         ids=["odd-bipartite-best-n", "odd-bipartite-best-k", "part1-negative",
              "part1-size-negative", "solve-seeded-n", "density-past-64", "stability-header-r",
-             "density-conflicts", "stability-partitions"],
+             "density-conflicts", "density-seeded-conflicts", "stability-partitions"],
     )
     def test_runaway_sizes_exit_at_once(self, capsys, tmp_path, monkeypatch, argv, message):
         # Each is refused before anything of its size is built, scanned or

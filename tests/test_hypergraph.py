@@ -527,9 +527,10 @@ def test_build_limit_boundary(monkeypatch):
 
 def test_density_run_checks_every_n_before_solving(monkeypatch, tmp_path):
     # K_7 holds 35 triangles: n = 7 is refused before n = 5 and 6 are
-    # solved, so nothing is looked up or cached.
+    # solved, so nothing is looked up, seeded or cached.
     monkeypatch.setattr("turankit.hypergraph.MAX_BUILD", 34)
     path = tmp_path / "c.jsonl"
+    seeded = []
     with pytest.raises(ValueError, match="^35 conflicts exceed the build limit 34$"):
-        density_sequence(K3, [5, 6, 7], cache=ResultCache(str(path)))
-    assert not path.exists()
+        density_sequence(K3, [5, 6, 7], cache=ResultCache(str(path)), seed_for=seeded.append)
+    assert not path.exists() and seeded == []

@@ -373,6 +373,15 @@ class TestDensitySequence:
             Fraction(9, 15),
         ]
 
+    def test_seed_rule_called_for_each_searched_n(self, tmp_path):
+        # n = 6 is a cache hit, so only n = 5 and 7 are searched and seeded.
+        path = str(tmp_path / "c.jsonl")
+        density_sequence(K3, [6], cache=ResultCache(path))
+        seeded = []
+        records = density_sequence(K3, [5, 6, 7], cache=ResultCache(path), seed_for=seeded.append)
+        assert [r.optimum for r in records] == [6, 9, 12]
+        assert seeded == [5, 7]
+
     def test_k4_minus_non_increasing(self):
         records = density_sequence(K4_MINUS, range(4, 7))
         densities = [r.density() for r in records]
@@ -439,11 +448,13 @@ class TestInterrupt:
     def test_density_sequence_stops_at_the_interrupted_n(self, monkeypatch, tmp_path):
         interrupt_at_first_poll(monkeypatch)
         path = tmp_path / "c.jsonl"
-        records = density_sequence(K3, [5, 6, 11, 12], cache=ResultCache(str(path)))
+        seeded = []
+        records = density_sequence(K3, [5, 6, 11, 12], cache=ResultCache(str(path)), seed_for=seeded.append)
         assert [(r.n, r.status, r.closed_by) for r in records] == [
             (5, STATUS_OPTIMAL, "search"), (6, STATUS_OPTIMAL, "cap"), (11, STATUS_LOWER_BOUND, "interrupted"),
         ]
         assert [r.n for r in ResultCache(str(path)).records()] == [5, 6]
+        assert seeded == [5, 6, 11]
 
 
 class TestAveragingCap:
@@ -460,7 +471,7 @@ class TestAveragingCap:
 
     def test_seed_meeting_the_cap_takes_no_nodes(self):
         # ex(5) = 6 caps n = 6 at 6 * 6 // 4 = 9, which K_{3,3} meets.
-        six = density_sequence(K3, [5, 6], seed_for={6: K33})[1]
+        six = density_sequence(K3, [5, 6], seed_for={6: K33}.get)[1]
         assert (six.optimum, six.nodes, six.status, six.closed_by) == (9, 0, STATUS_OPTIMAL, "cap")
         assert six.witness == K33.edges
         direct = solve_exact(forbidden_triples(K3, 6), seed_witness=K33, cap=9)
