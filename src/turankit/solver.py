@@ -173,6 +173,8 @@ def forbidden_triples(f: Hypergraph, n: int, family_name: str = "") -> TripleSys
     # lexicographic order, so the index triples come out sorted.
     index = {mask: i for i, mask in enumerate(complete.edges)}
     conflicts = tuple((index[a], index[b], index[c]) for a, b, c in copies_of(f, complete)) if count else ()
+    if len(conflicts) != count:
+        raise AssertionError(f"{len(conflicts)} conflicts built, {count} copies counted")
     return TripleSystem(n, f.r, complete.edges, conflicts, profile, family_name)
 
 
@@ -218,18 +220,22 @@ def solve_exact(
 ) -> SolveRecord:
     """Branch and bound for the maximum conflict-free subset of the ground set.
 
-    The incumbent starts from the optional seed witness. Branching picks the
-    undecided edge lying in the most active conflicts (the lowest index among
-    ties); the bound subtracts a greedy packing of active conflicts with
-    disjoint undecided parts from the count of undecided edges. Completing
-    proves optimality. The node budget, the deadline (polled every 256
-    nodes) and the cap end the search by one exception, _Stop, whose args
-    are the record's status and closed_by: lower-bound-only on a budget. A
-    KeyboardInterrupt in the search also gives lower-bound-only, closed_by
-    "interrupted". The witness is re-verified in every case. budget_nodes
-    must be at least 1 (a budget of N allows N nodes) and budget_secs a
-    non-negative number (0.0 stops at the first deadline poll); anything
-    else raises ValueError.
+    The incumbent starts from the optional seed witness. One test prunes: a
+    node's bound is |inc| + |undecided| - packed = m - |exc| - packed, for a
+    greedy packing of active conflicts with disjoint undecided parts, and the
+    node is pruned iff bound <= incumbent. It is sound: a conflict-free
+    completion leaves out a distinct undecided edge of each packed conflict.
+    The packing stops once the bound reaches the incumbent, which prunes the
+    same nodes. A surviving node with no active conflict is a leaf, whose
+    completion takes every undecided edge; any other node branches on the
+    undecided edge in the most active conflicts (the lowest index among
+    ties). The node budget, the deadline (polled every 256 nodes) and the
+    cap end the search by one exception, _Stop, whose args are the record's
+    status and closed_by: lower-bound-only on a budget. A KeyboardInterrupt
+    in the search also gives lower-bound-only, closed_by "interrupted". The
+    witness is re-verified in every case. budget_nodes must be at least 1 (a
+    budget of N allows N nodes) and budget_secs a non-negative number (0.0
+    stops at the first deadline poll); anything else raises ValueError.
 
     cap, when given, is a stop rule: the caller vouches that no
     conflict-free subset is larger, so the search stops, proved optimal
@@ -259,7 +265,8 @@ def solve_exact(
 
     The root fixes the first ground edge to included, which is valid for the
     documented TripleSystem shape: a complete ground set, whose relabeling
-    symmetry moves any edge of an optimal solution onto the first one.
+    symmetry moves any edge of an optimal solution (nonempty, since a single
+    edge is conflict-free) onto the first one.
     """
     _check_budgets(budget_nodes, budget_secs)
     t0 = time.monotonic()
@@ -322,40 +329,33 @@ def solve_exact(
             nodes += 1
             if not nodes & 255 and time.monotonic() > deadline:
                 raise _Stop(STATUS_LOWER_BOUND, CLOSED_BY_SEARCH)
+            # The docstring's greedy packing, stopped at room picks, where bound = incumbent.
             exc_count = exc.bit_count()
-            if not active:
-                # No conflict can still be violated: take every undecided edge.
-                val = m - exc_count
-                if val > best_val:
-                    best_val = val
-                    best_mask = full & ~exc
-                    if val >= stop_at:
-                        raise _Stop(STATUS_OPTIMAL, CLOSED_BY_CAP)
-                return
-            inc_count = inc.bit_count()
-            undecided = m - inc_count - exc_count
-            if inc_count + undecided <= best_val:
-                return
-            # Greedy packing, first fit in conflict order: the active
-            # conflicts in hit (one edge included, two undecided) first,
-            # then the rest (three undecided). Packing a conflict drops
-            # every conflict sharing one of its undecided edges.
+            room = m - exc_count - best_val
             packed = 0
             rem = active
             two = rem & hit
-            while two:
+            while two and packed < room:
                 packed += 1
                 a, b, c = conflicts[last + 1 - two.bit_length()]
                 u, v = (b, c) if inc >> a & 1 else (a, c) if inc >> b & 1 else (a, b)
                 rem &= keep[u] & keep[v]
                 two = rem & hit
-            while rem:
+            while rem and packed < room:
                 packed += 1
                 a, b, c = conflicts[last + 1 - rem.bit_length()]
                 rem &= keep[a] & keep[b] & keep[c]
-            bound = inc_count + undecided - packed
+            bound = m - exc_count - packed
             if bound <= best_val:
                 return
+            if not active:
+                # No conflict can still be violated: take every undecided edge.
+                best_val, best_mask = bound, full & ~exc
+                if bound >= stop_at:
+                    raise _Stop(STATUS_OPTIMAL, CLOSED_BY_CAP)
+                return
+            inc_count = inc.bit_count()
+            undecided = m - inc_count - exc_count
             gone = parent_active & ~active  # the conflicts dead since the parent
             if 2 * gone.bit_count() <= undecided:
                 counts = parent_counts[:]
@@ -380,9 +380,7 @@ def solve_exact(
             for state in order:
                 dfs(*state)
 
-        # Root symmetry breaking: ground edges are interchangeable under
-        # vertex relabeling and a single edge is always conflict-free, so
-        # some optimum contains the first ground edge.
+        # Root symmetry breaking (see the docstring): some optimum holds edge 0.
         counts = [-1] + [mem.bit_count() for mem in membership[1:]]
         try:
             dfs(*include(0, 0, all_conflicts, 0, 0), all_conflicts, counts)
@@ -393,9 +391,7 @@ def solve_exact(
             status, closed_by = STATUS_LOWER_BOUND, CLOSED_BY_INTERRUPT
             best_val = best_mask.bit_count()
 
-    witness = tuple(
-        system.ground[i] for i in range(m) if best_mask >> i & 1
-    )
+    witness = tuple(system.ground[i] for i in range(m) if best_mask >> i & 1)
     if _violates(conflicts, best_mask):
         raise AssertionError("witness contains a forbidden triple")
     if cap is not None and best_val > cap:

@@ -1,8 +1,8 @@
 """Shared test oracles, deliberately independent of the library's fast paths:
 exhaustive subset scans, permutation-based isomorphism, brute-force copy and
 homomorphism search, a miniature DPLL solver for CNF checks, and cache
-lines that break one record rule each, and a solver clock that interrupts
-the search."""
+lines that break one record rule each, a solver clock that interrupts
+the search, and a conflict build that loses a copy."""
 
 import itertools
 import sys
@@ -24,6 +24,14 @@ def interrupt_at_first_poll(monkeypatch) -> None:
         return time.monotonic()
 
     monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=monotonic))
+
+
+def lose_first_copy(monkeypatch) -> None:
+    """Make the solver's conflict build skip the first copy copies_of yields."""
+    from turankit import solver
+
+    scan = solver.copies_of
+    monkeypatch.setattr(solver, "copies_of", lambda f, h: itertools.islice(scan(f, h), 1, None))
 
 
 def subset_scan_optimum(system) -> int:

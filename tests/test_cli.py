@@ -30,7 +30,7 @@ from turankit import (
 from turankit import cli
 from turankit.cli import main
 
-from helpers import K33_RECORD, NON_RECORDS, interrupt_at_first_poll
+from helpers import K33_RECORD, NON_RECORDS, interrupt_at_first_poll, lose_first_copy
 
 
 def run(capsys, *argv):
@@ -464,6 +464,19 @@ class TestSolveAndDensity:
         assert code == 0
         assert "optimum=6" in out
         assert "witness" not in out and "reference" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family", "triangle", "--n", "4"],
+    ["export", "--family", "triangle", "--n", "4", "--format", "cnf"],
+])
+def test_a_build_one_copy_short_raises(capsys, monkeypatch, argv):
+    # The conflict build certifies its count for every command that reads
+    # the system: an incomplete encoding is a fault, not a usage error.
+    lose_first_copy(monkeypatch)
+    with pytest.raises(AssertionError, match="^3 conflicts built, 4 copies counted$"):
+        main(["--cache", "", *argv])
+    assert capsys.readouterr().out == ""
 
 
 class TestExport:

@@ -48,6 +48,7 @@ from helpers import (
     NON_RECORDS,
     dpll_satisfiable,
     interrupt_at_first_poll,
+    lose_first_copy,
     milp_optimum,
     parse_dimacs,
     parse_lp_maximize,
@@ -99,6 +100,15 @@ class TestForbiddenTriples:
     def test_non_three_edge_pattern_rejected(self):
         with pytest.raises(ValueError):
             forbidden_triples(make_hypergraph(3, 2, [[0, 1]]), 4)
+
+    def test_a_build_one_copy_short_raises(self, monkeypatch):
+        # copy_count is the closed form of the conflict count, so it certifies
+        # the scan: a scan that loses a copy fails the build, and no solve
+        # sees the incomplete system.
+        lose_first_copy(monkeypatch)
+        for build in (lambda: forbidden_triples(K3, 4), lambda: solve_family(K3, 4)):
+            with pytest.raises(AssertionError, match="^3 conflicts built, 4 copies counted$"):
+                build()
 
 
 class TestSolveExact:
@@ -176,6 +186,22 @@ class TestSolveExact:
             checked += 1
         assert checked >= 5
 
+    def test_every_small_class_matches_subset_scan(self):
+        # Every r=2..5 class at every n where its system has conflicts and
+        # the subset scan covers the ground set: the net under any change to
+        # the prune or branching rules. C(n, r) is checked before building.
+        systems = [
+            system
+            for r in range(2, 6)
+            for entry in enumerate_three_edge(r).entries
+            for n in range(entry.representative.support_size, 8)
+            if comb(n, r) <= 22
+            and (system := forbidden_triples(entry.representative, n)).conflicts
+        ]
+        assert len(systems) == 42
+        for system in systems:
+            assert solve_exact(system).optimum == subset_scan_optimum(system)
+
     def test_subset_scan_matches_plain_scan(self):
         # The table oracle against one pass per conflict: every r=2,3 class
         # from its support while m <= 16, and random systems whose conflicts
@@ -242,7 +268,11 @@ class TestSolveExact:
         # conflicts, lowest index on ties) and the packing order (two-
         # undecided conflicts first, then by index). A kernel rewrite must
         # keep both, so it must keep these counts.
-        for f, n, nodes in ((K3, 8, 91), (K3, 9, 295), (K3, 10, 667), (K4_MINUS, 6, 71)):
+        # The r=3 class at n = 8 has the census proof with the most nodes that
+        # m - |exc| <= incumbent prunes before any packing (596 of 3,963).
+        dense = realize_profile((1, 1, 2, 1, 0, 0, 1), 3)
+        for f, n, nodes in ((K3, 8, 91), (K3, 9, 295), (K3, 10, 667), (K4_MINUS, 6, 71),
+                            (dense, 8, 3963)):
             record = solve_exact(forbidden_triples(f, n))
             assert (record.nodes, record.status) == (nodes, STATUS_OPTIMAL)
         seeded = solve_exact(forbidden_triples(T4, 7), seed_witness=max_odd_bipartite(7, 4)[1])
