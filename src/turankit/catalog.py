@@ -2,8 +2,11 @@
 the minimum-degree-two classification.
 
 Classes are enumerated directly as region profiles (the seven Venn-region
-cardinalities), which is a complete isomorphism invariant for three-edge
-hypergraphs, so no labeled search or canonical-form machinery is needed.
+cardinalities), a complete isomorphism invariant for three-edge hypergraphs,
+so no labeled search is needed. Only sorted profiles (a1 <= a2 <= a3) are
+generated, and each of them is canonical, so none is canonicalised. An
+entry's degrees are read off its profile, and its representative is built
+only when asked.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from .constructions import expanded_triangle, suspension
 from .hypergraph import (
     Hypergraph,
     RegionProfile,
-    canonical_profile,
     canonical_regions,
     from_masks,
     suspension_width,
@@ -25,13 +27,20 @@ MAX_UNIFORMITY = 8
 
 
 class CatalogEntry(NamedTuple):
+    """One class, given by its canonical profile. The representative is
+    realize_profile of the profile, built afresh on each access."""
+
     profile: RegionProfile
-    representative: Hypergraph
     min_degree: int
     max_degree: int
     # index i such that the class is the r-suspension of the width-i expanded
     # triangle; None for classes with a degree-one vertex
     suspension_index: Optional[int]
+
+    @property
+    def representative(self) -> Hypergraph:
+        p = self.profile
+        return realize_profile(p, p.a1 + p.a12 + p.a13 + p.a123)
 
 
 class ThreeEdgeCatalog(NamedTuple("ThreeEdgeCatalog", [("r", int),
@@ -56,26 +65,23 @@ class ThreeEdgeCatalog(NamedTuple("ThreeEdgeCatalog", [("r", int),
 
 
 def _canonical_profiles(r: int) -> list[RegionProfile]:
-    """All region profiles of three pairwise-distinct r-edges, one per class."""
-    seen = set()
+    """All region profiles of three pairwise-distinct r-edges, one per class.
+
+    A canonical profile has a1 <= a2 <= a3, that is a12 >= a13 >= a23, and
+    each sorted profile is canonical: a_i = a_j forces a_ik = a_jk, so edges
+    tied on their singleton regions swap to the same profile."""
+    profiles = []
     for a123 in range(r + 1):
         for a12 in range(r - a123 + 1):
-            for a13 in range(r - a123 - a12 + 1):
-                a1 = r - a12 - a13 - a123
-                for a23 in range(r - a123 - a12 + 1):
+            for a13 in range(min(a12, r - a123 - a12) + 1):
+                for a23 in range(a13 + 1):
                     a2 = r - a12 - a23 - a123
-                    a3 = r - a13 - a23 - a123
-                    if a2 < 0 or a3 < 0:
-                        continue
-                    # pairwise distinct edges
-                    if a1 + a13 + a2 + a23 == 0:
-                        continue
-                    if a1 + a12 + a3 + a23 == 0:
-                        continue
-                    if a2 + a12 + a3 + a13 == 0:
-                        continue
-                    seen.add(canonical_profile((a1, a2, a3, a12, a13, a23, a123)))
-    return sorted(seen)
+                    # in a sorted profile any two equal edges force e1 == e2,
+                    # that is a1 = a2 = a13 = a23 = 0
+                    if a2 + a13:
+                        profiles.append(RegionProfile(r - a12 - a13 - a123, a2, r - a13 - a23 - a123,
+                                                      a12, a13, a23, a123))
+    return sorted(profiles)
 
 
 def realize_profile(profile: tuple[int, ...], r: int) -> Hypergraph:
@@ -100,18 +106,11 @@ def enumerate_three_edge(r: int) -> ThreeEdgeCatalog:
         raise ValueError(f"uniformity {r} outside the supported range "
                          f"{MIN_UNIFORMITY}..{MAX_UNIFORMITY}")
     entries = []
-    for profile in _canonical_profiles(r):
-        rep = realize_profile(profile, r)
-        degrees = rep.degrees()  # realize_profile leaves no vertex isolated
-        entries.append(
-            CatalogEntry(
-                profile=profile,
-                representative=rep,
-                min_degree=min(degrees),
-                max_degree=max(degrees),
-                suspension_index=suspension_width(profile, r),
-            )
-        )
+    for p in _canonical_profiles(r):
+        # a vertex's degree is the number of edges its region lies in
+        pairs = p.a12 or p.a13 or p.a23
+        entries.append(CatalogEntry(p, 1 if p.a1 or p.a2 or p.a3 else 2 if pairs else 3,
+                                    3 if p.a123 else 2 if pairs else 1, suspension_width(p, r)))
     return ThreeEdgeCatalog(r, tuple(entries))
 
 

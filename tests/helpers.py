@@ -1,8 +1,9 @@
 """Shared test oracles, deliberately independent of the library's fast paths:
 exhaustive subset scans, permutation-based isomorphism, brute-force copy and
-homomorphism search, a miniature DPLL solver for CNF checks, and cache
-lines that break one record rule each, a solver clock that interrupts
-the search, and a conflict build that loses a copy."""
+homomorphism search, canonical region profiles from every raw profile, a
+miniature DPLL solver for CNF checks, and cache lines that break one record
+rule each, a solver clock that interrupts the search, and a conflict build
+that loses a copy."""
 
 import itertools
 import sys
@@ -103,6 +104,35 @@ def permutation_isomorphic(f1: Hypergraph, f2: Hypergraph) -> bool:
         if all(edge_mask(phi[v] for v in edge_vertices(e)) in edges2 for e in f1.edges):
             return True
     return False
+
+
+def brute_force_canonical_profiles(r: int) -> list[tuple[int, ...]]:
+    """Sorted canonical profiles of all three-edge r-graphs: every raw region
+    profile (a1, a2, a3, a12, a13, a23, a123) of three distinct r-edges,
+    minimized over the six relabelings of its edges, then de-duplicated."""
+    seen = set()
+    for a123 in range(r + 1):
+        for a12 in range(r - a123 + 1):
+            for a13 in range(r - a123 - a12 + 1):
+                for a23 in range(r - a123 - a12 + 1):
+                    singles = (r - a12 - a13 - a123, r - a12 - a23 - a123, r - a13 - a23 - a123)
+                    pairs = {(0, 1): a12, (0, 2): a13, (1, 2): a23}
+                    # edges i and j differ on their own singleton regions and
+                    # on the pair regions that hold exactly one of them
+                    if min(singles) < 0 or any(
+                        singles[i] + singles[j]
+                        + sum(size for pair, size in pairs.items() if (i in pair) != (j in pair)) == 0
+                        for i, j in pairs
+                    ):
+                        continue
+                    # edge x of a relabeling is edge order[x] of this one
+                    seen.add(min(
+                        tuple(singles[i] for i in order)
+                        + tuple(pairs[tuple(sorted((order[x], order[y])))] for x, y in pairs)
+                        + (a123,)
+                        for order in itertools.permutations(range(3))
+                    ))
+    return sorted(seen)
 
 
 def brute_force_copies(f: Hypergraph, h: Hypergraph) -> list[tuple[int, int, int]]:

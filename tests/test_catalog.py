@@ -27,10 +27,10 @@ from turankit import (
     verify_classification,
 )
 
-from turankit.catalog import suspension_width
+from turankit.catalog import realize_profile, suspension_width
 from turankit.hypergraph import copy_count, pattern_profile
 
-from helpers import permutation_isomorphic
+from helpers import brute_force_canonical_profiles, permutation_isomorphic
 
 
 def brute_force_class_profiles(r: int) -> set[tuple[int, ...]]:
@@ -66,10 +66,11 @@ class TestEnumeration:
             assert len(profiles) == len(set(profiles))
 
     def test_representatives_have_three_edges_no_isolated(self):
-        for r in (2, 3, 4):
+        for r in range(2, 9):
             for entry in enumerate_three_edge(r).entries:
                 rep = entry.representative
-                assert len(rep.edges) == 3
+                assert rep == realize_profile(entry.profile, r)
+                assert rep.r == r and len(rep.edges) == 3
                 assert rep.support_size == rep.n
                 assert pattern_profile(rep) == entry.profile
 
@@ -81,6 +82,11 @@ class TestEnumeration:
 
 
 class TestBruteForceCompleteness:
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_sorted_profiles_match_every_raw_profile_canonicalised(self, r):
+        # Order included: the catalog lists its classes by sorted profile.
+        assert [e.profile for e in enumerate_three_edge(r).entries] == brute_force_canonical_profiles(r)
+
     def test_labeled_enumeration_matches_r2_r3(self):
         for r in (2, 3):
             catalog = enumerate_three_edge(r)

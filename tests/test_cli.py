@@ -1,5 +1,6 @@
 """End-to-end command-line tests against module-level outputs."""
 
+import hashlib
 import json
 import os
 import re
@@ -123,7 +124,47 @@ class TestConstruct:
         assert len(parse_hypergraph(target.read_text()).edges) == 2
 
 
+# SHA-256 of `classify --r R` stdout for R = 2..8, per output format: a change
+# to any class's profile, degrees or width, or to their order, shows here.
+CLASSIFY_SHA256 = {
+    "table": (
+        "5d07f92f8d63821270f6f4b6cd3572ff279530274af08e2cf59d0aeb865af855",
+        "72cfe60d62134b61235911b35dae4c67ca53f51c9a682beb8219bcbf107d326f",
+        "4abcb9be5cc0a897bc4c3f0024d6d701d943981026e2942d5e78dbe3ef017459",
+        "54befeb4611cffa95a561012e0d9c020867ffbbe11c6cfd48d30f7071b62e597",
+        "6503d8b1d5c81e0e1fc4adc4f70d20935c6c19bd6ef6fb7635fbd769a916047a",
+        "5711ded7e96f39b669d8535fc80fc2e15570c9a8a5afad676c8696c936684098",
+        "9a95807c7fe802a2f57572c05771515395a4ebc4f54a52e595a9476c298b9b19",
+    ),
+    "csv": (
+        "fc1f8be036ed67e5675609daec8896f0e948d4e9a5f8c0cb3cbe8f17756a30c6",
+        "e693824042610150c656deba1ddfdc4b940cb625f6c81f1fb12ccefaf3f60b0b",
+        "17c7b2bda9359d020cdaa997b134f4ef13b02853579b5b664c49dc37e2f7866b",
+        "0e578864e7242af29a0f8acb57bf2658b0b521a5d18605323302302479cea8da",
+        "1ccb31cae8783fd8eed183e12e8a7b9cf43f7af1f88a7e90fffda690b633cb7d",
+        "e67c97301db2e03d79f55e4d28ca661780b3ef80f324f276da34ec8742d3f6d4",
+        "761f616277a91dc99bd74962f4c9826726cd205e2342761e504c680c987f32c9",
+    ),
+    "json": (
+        "d1dc98474829fcdb715c5a23baf7dbdc867421c1ef498e4c09424b1fe1d457b6",
+        "f584bcd63220e810ca31a8ac1af27b4016ae1a503f17e2d0c66cbc976491b407",
+        "d1d0ad1c7c442349016a847d746f611afb66ebd6be20215e12bc2a6079a013bc",
+        "36d50fd1aee92a1bcfc4a7bb172735ac68a96870e11b55fdbab96e206639b543",
+        "91f6a21781e04343d4bbd3b6e513f956443e166cb2fe8b453a501cbd9bc41219",
+        "5830cfa48e825da0c79900f81b8535e96bb25694efb81c81994cfef41cc0dd36",
+        "4c6d2cbe90cb4b201b26c9af18292b95a62de823e9c8480aa16441d194b2fc38",
+    ),
+}
+
+
 class TestClassify:
+    @pytest.mark.parametrize("fmt", sorted(CLASSIFY_SHA256))
+    def test_stdout_is_byte_identical_to_the_recorded_catalog(self, capsys, fmt):
+        for r, digest in zip(range(2, 9), CLASSIFY_SHA256[fmt]):
+            code, out, _ = run(capsys, "--format", fmt, "classify", "--r", str(r))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, r)
+
     def test_r5_table(self, capsys):
         code, out, _ = run(capsys, "classify", "--r", "5")
         assert code == 0
