@@ -197,22 +197,24 @@ def cmd_classify(args) -> int:
             tag = "min-degree-1"
         rows.append(
             {
-                "profile": " ".join(str(x) for x in entry.profile),
+                "profile": " ".join(map(str, entry.profile)),
                 "min_degree": entry.min_degree,
                 "max_degree": entry.max_degree,
                 "class": tag,
                 "i": entry.suspension_index if entry.suspension_index is not None else "",
             }
         )
-    lines = [
-        f"three-edge classes for r={args.r}: {len(rows)} total, "
-        f"{report.class_count} with min degree >= 2",
-        f"{'profile':24} {'min':>3} {'max':>3}  class",
-    ]
-    lines += [
-        f"{row['profile']:24} {row['min_degree']:>3} {row['max_degree']:>3}  {row['class']}"
-        for row in rows
-    ]
+    lines = []
+    if args.format == "table":
+        lines = [
+            f"three-edge classes for r={args.r}: {len(rows)} total, "
+            f"{report.class_count} with min degree >= 2",
+            f"{'profile':24} {'min':>3} {'max':>3}  class",
+        ]
+        lines += [
+            f"{row['profile']:24} {row['min_degree']:>3} {row['max_degree']:>3}  {row['class']}"
+            for row in rows
+        ]
     payload = {"r": args.r, "classes": rows, "min_degree_two_count": report.class_count}
     _emit(args.format, payload, lines, rows)
     return 0

@@ -375,6 +375,23 @@ def is_isomorphic(f1: Hypergraph, f2: Hypergraph) -> bool:
 
 # -- copy enumeration ------------------------------------------------------
 
+# bytes.translate table from binary digits to compress selectors.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _picked(items, first: int, row: int):
+    """items[first + t] for each set bit t of row, in ascending t."""
+    if row.bit_count() << 3 > row.bit_length():
+        # Dense: one C-level pass over the binary digits, lowest first.
+        return itertools.compress(items[first:], bin(row)[:1:-1].encode().translate(_DIGIT_BITS))
+    picked = []
+    while row:
+        low = row & -row
+        picked.append(items[first + low.bit_length() - 1])
+        row ^= low
+    return picked
+
+
 def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
     """Yield the 3-subsets of h's edges forming a copy of the three-edge f.
 
@@ -385,44 +402,84 @@ def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
     For r-sets e1, e2, e3 the intersection sizes (|e1∩e2|, |e1∩e3|, |e2∩e3|,
     |e1∩e2∩e3|) fix all seven region counts, so a host triple is a copy
     exactly when its sizes equal f's under one of the six edge orders.
+
+    The work grows with the pairs and copies found, not with m³ for m host
+    edges. For each edge e_i and each pair size s that an order needs, a
+    big-int row has bit t set when |e_i ∩ e_{i+1+t}| = s: one bit per edge
+    pair and size, about m²/2 bits each. The second edges e_j, j > i, are the
+    set bits of e_i's rows for the allowed |e_i∩e_j|; the third edges e_k,
+    k > j, are the set bits of (row_i[s13] >> (j - i)) & row_j[s23], ORed
+    over the orders with that |e_i∩e_j|. Both are walked in ascending order,
+    which gives the lexicographic order, and a candidate e_k is checked only
+    on its triple intersection.
     """
     profile = pattern_profile(f)
     if f.r != h.r:
         raise ValueError(f"uniformity mismatch: pattern r={f.r}, host r={h.r}")
     edges = h.edges
+    a123 = profile[6]
+    # Under each edge order, |ei∩ej| is the pair region plus the triple one.
+    shapes = {
+        (a12 + a123, a13 + a123, a23 + a123)
+        for *_, a12, a13, a23, _ in (g(profile) for g in _S3_GETTERS)
+    }
     m = len(edges)
-    half = f.r // 2
+    rows = {s: [0] * m for shape in shapes for s in shape}
+    if m < 48:
+        # Few edges: one pass over the pairs costs less than the counts below
+        # (they break even at 24 to 96 edges, the more the larger r is).
+        for i, ei in enumerate(edges):
+            for t, ej in enumerate(edges[i + 1:]):
+                row = rows.get((ei & ej).bit_count())
+                if row is not None:
+                    row[i] |= 1 << t
+    else:
+        # inc[v] has bit k set when vertex v lies in edge k.
+        inc = [0] * h.n
+        vertices = [edge_vertices(e) for e in edges]
+        for k, vs in enumerate(vertices):
+            for v in vs:
+                inc[v] |= 1 << k
+        top = max(rows)
+        for i, vs in enumerate(vertices):
+            # exact[c] has bit t set when e_{i+1+t} meets c of the vertices of
+            # e_i added so far; an edge that meets more than top drops out.
+            exact = [((1 << m) - 1) >> (i + 1)] + [0] * top
+            for v in vs:
+                x = inc[v] >> (i + 1)
+                out = ~x
+                for c in range(top, 0, -1):
+                    exact[c] = exact[c] & out | exact[c - 1] & x
+                exact[0] &= out
+            for s, row in rows.items():
+                row[i] = exact[s]
     if suspension_width(profile, f.r) == f.r / 2:
         # The expanded triangle: pairwise intersections of size r/2 and no
         # triple region, so the third edge is the symmetric difference of the
-        # other two and each copy is found once, from its two smallest edges.
+        # other two. Rows cannot filter an empty triple region, so it is looked
+        # up, and each copy is found once, from its two smallest edges.
         edge_set = set(edges)
-        for i in range(m):
-            ei = edges[i]
-            for j in range(i + 1, m):
-                ej = edges[j]
+        for i, ei in enumerate(edges):
+            for ej in _picked(edges, i + 1, rows[f.r // 2][i]):
                 third = ei ^ ej
-                if (ei & ej).bit_count() == half and third > ej and third in edge_set:
+                if third > ej and third in edge_set:
                     yield (ei, ej, third)
         return
-    # Under each edge order, |ei∩ej| is the pair region plus the triple one.
-    shapes = {
-        (a12 + a123, a13 + a123, a23 + a123, a123)
-        for *_, a12, a13, a23, a123 in (g(profile) for g in _S3_GETTERS)
-    }
-    # |e1∩e3| values that some shape allows after each |e1∩e2|.
-    follow = {s12: {s[1] for s in shapes if s[0] == s12} for s12, _, _, _ in shapes}
-    for i in range(m):
-        ei = edges[i]
-        for j in range(i + 1, m):
+    # (row_i[s13], row_j[s23]) pairs that some shape allows after each |ei∩ej|.
+    follow = {s12: [(rows[s13], rows[s23]) for s, s13, s23 in shapes if s == s12] for s12, _, _ in shapes}
+    # A disjoint pair forces an empty triple region, which is then f's.
+    free = 0 in rows
+    index = range(m)
+    for i, ei in enumerate(edges):
+        pairs = 0
+        for s12 in follow:
+            pairs |= rows[s12][i]
+        for j in _picked(index, i + 1, pairs):
             ej = edges[j]
             eij = ei & ej
-            s12 = eij.bit_count()
-            allowed = follow.get(s12)
-            if allowed is None:
-                continue
-            for k in range(j + 1, m):
-                ek = edges[k]
-                s13 = (ei & ek).bit_count()
-                if s13 in allowed and (s12, s13, (ej & ek).bit_count(), (eij & ek).bit_count()) in shapes:
+            third = 0
+            for row13, row23 in follow[eij.bit_count()]:
+                third |= row13[i] >> (j - i) & row23[j]
+            for ek in _picked(edges, j + 1, third):
+                if free or (eij & ek).bit_count() == a123:
                     yield (ei, ej, ek)

@@ -1,16 +1,17 @@
 """Shared test oracles, deliberately independent of the library's fast paths:
 exhaustive subset scans, permutation-based isomorphism, brute-force copy and
-homomorphism search, canonical region profiles from every raw profile, a
-miniature DPLL solver for CNF checks, and cache lines that break one record
-rule each, a solver clock that interrupts the search, and a conflict build
-that loses a copy."""
+homomorphism search, copies of every class by one scan of all edge triples,
+canonical region profiles from every raw profile, a miniature DPLL solver for
+CNF checks, and cache lines that break one record rule each, a solver clock
+that interrupts the search, and a conflict build that loses a copy."""
 
 import itertools
 import sys
 import time
+from collections import defaultdict
 from types import SimpleNamespace
 
-from turankit import Hypergraph, edge_mask, edge_vertices, from_masks
+from turankit import Hypergraph, canonical_regions, edge_mask, edge_vertices, from_masks
 
 
 def interrupt_at_first_poll(monkeypatch) -> None:
@@ -143,6 +144,21 @@ def brute_force_copies(f: Hypergraph, h: Hypergraph) -> list[tuple[int, int, int
         if permutation_isomorphic(f, candidate):
             out.append(tuple(sorted(triple)))
     return out
+
+
+def copies_by_profile(h: Hypergraph) -> dict[tuple[int, ...], list[tuple[int, int, int]]]:
+    """Copies of every three-edge class in h, keyed by canonical region
+    profile, in lexicographic order: one pass over all edge triples. Triples
+    with equal intersection sizes (|ab|, |ac|, |bc|, |abc|) share a profile,
+    so each size group is named once. Usable up to about 150 edges."""
+    by_sizes = defaultdict(list)
+    for t in itertools.combinations(h.edges, 3):
+        a, b, c = t
+        by_sizes[(a & b).bit_count(), (a & c).bit_count(), (b & c).bit_count(), (a & b & c).bit_count()].append(t)
+    by_profile = defaultdict(list)
+    for triples in by_sizes.values():
+        by_profile[canonical_regions(*triples[0])] += triples
+    return {profile: sorted(triples) for profile, triples in by_profile.items()}
 
 
 def all_maps_homomorphism_exists(f1: Hypergraph, f2: Hypergraph) -> bool:

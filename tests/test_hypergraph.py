@@ -50,7 +50,7 @@ from turankit.hypergraph import (
     suspension_width,
 )
 
-from helpers import brute_force_copies, permutation_isomorphic
+from helpers import brute_force_copies, copies_by_profile, permutation_isomorphic
 
 K3 = make_hypergraph(3, 2, [[0, 1], [1, 2], [0, 2]])
 K4_MINUS = make_hypergraph(4, 3, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
@@ -322,15 +322,33 @@ class TestCopies:
             assert len(list(copies_of(f, f))) == 1
 
     def test_agrees_with_brute_force(self):
-        # Every class for r=2..4; a class whose support exceeds the host's n
+        # Every class for r=2..6; a class whose support exceeds the host's n
         # checks that no false copy is reported.
         rng = random.Random(5)
         cases = [(expanded_triangle(2), 7, 0.35)] * 6 + [(K4_MINUS, 6, 0.45)] * 6
-        for r, n, density in ((2, 6, 0.5), (3, 8, 0.25), (4, 8, 0.25)):
+        for r, n, density in ((2, 6, 0.5), (3, 8, 0.25), (4, 8, 0.25), (5, 8, 0.25), (6, 9, 0.12)):
             cases += [(entry.representative, n, density) for entry in enumerate_three_edge(r).entries]
         for f, n, density in cases:
             h = random_hypergraph(rng, n, f.r, density)
             assert list(copies_of(f, h)) == sorted(brute_force_copies(f, h))
+
+    @pytest.mark.parametrize("r, n, density, more_than", [(2, 18, 0.5, 64), (3, 12, 0.62, 128)])
+    def test_rows_over_several_words(self, r, n, density, more_than):
+        # The early edges' intersection rows span more than one or two 64-bit
+        # words, so a shift or mask that drops a word loses or invents copies.
+        h = random_hypergraph(random.Random(7), n, r, density)
+        assert len(h.edges) > more_than
+        expected = copies_by_profile(h)
+        for entry in enumerate_three_edge(r).entries:
+            assert list(copies_of(entry.representative, h)) == expected.get(entry.profile, [])
+
+    def test_hosts_under_three_edges(self):
+        for r in (2, 3, 4):
+            complete = complete_rgraph(r + 3, r)
+            for m in (0, 1, 2):
+                h = from_masks(r + 3, r, complete.edges[:m])
+                for entry in enumerate_three_edge(r).entries:
+                    assert list(copies_of(entry.representative, h)) == []
 
     def test_uniformity_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
