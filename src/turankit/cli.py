@@ -210,11 +210,8 @@ def cmd_classify(args) -> int:
             f"three-edge classes for r={args.r}: {len(rows)} total, "
             f"{report.class_count} with min degree >= 2",
             f"{'profile':24} {'min':>3} {'max':>3}  class",
-        ]
-        lines += [
-            f"{row['profile']:24} {row['min_degree']:>3} {row['max_degree']:>3}  {row['class']}"
-            for row in rows
-        ]
+        ] + [f"{row['profile']:24} {row['min_degree']:>3} {row['max_degree']:>3}  {row['class']}"
+             for row in rows]
     payload = {"r": args.r, "classes": rows, "min_degree_two_count": report.class_count}
     _emit(args.format, payload, lines, rows)
     return 0

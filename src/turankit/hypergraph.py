@@ -375,23 +375,6 @@ def is_isomorphic(f1: Hypergraph, f2: Hypergraph) -> bool:
 
 # -- copy enumeration ------------------------------------------------------
 
-# bytes.translate table from binary digits to compress selectors.
-_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _picked(items, first: int, row: int):
-    """items[first + t] for each set bit t of row, in ascending t."""
-    if row.bit_count() << 3 > row.bit_length():
-        # Dense: one C-level pass over the binary digits, lowest first.
-        return itertools.compress(items[first:], bin(row)[:1:-1].encode().translate(_DIGIT_BITS))
-    picked = []
-    while row:
-        low = row & -row
-        picked.append(items[first + low.bit_length() - 1])
-        row ^= low
-    return picked
-
-
 def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
     """Yield the 3-subsets of h's edges forming a copy of the three-edge f.
 
@@ -425,34 +408,25 @@ def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
     }
     m = len(edges)
     rows = {s: [0] * m for shape in shapes for s in shape}
-    if m < 48:
-        # Few edges: one pass over the pairs costs less than the counts below
-        # (they break even at 24 to 96 edges, the more the larger r is).
-        for i, ei in enumerate(edges):
-            for t, ej in enumerate(edges[i + 1:]):
-                row = rows.get((ei & ej).bit_count())
-                if row is not None:
-                    row[i] |= 1 << t
-    else:
-        # inc[v] has bit k set when vertex v lies in edge k.
-        inc = [0] * h.n
-        vertices = [edge_vertices(e) for e in edges]
-        for k, vs in enumerate(vertices):
-            for v in vs:
-                inc[v] |= 1 << k
-        top = max(rows)
-        for i, vs in enumerate(vertices):
-            # exact[c] has bit t set when e_{i+1+t} meets c of the vertices of
-            # e_i added so far; an edge that meets more than top drops out.
-            exact = [((1 << m) - 1) >> (i + 1)] + [0] * top
-            for v in vs:
-                x = inc[v] >> (i + 1)
-                out = ~x
-                for c in range(top, 0, -1):
-                    exact[c] = exact[c] & out | exact[c - 1] & x
-                exact[0] &= out
-            for s, row in rows.items():
-                row[i] = exact[s]
+    # inc[v] has bit k set when vertex v lies in edge k.
+    inc = [0] * h.n
+    vertices = [edge_vertices(e) for e in edges]
+    for k, vs in enumerate(vertices):
+        for v in vs:
+            inc[v] |= 1 << k
+    top = max(rows)
+    for i, vs in enumerate(vertices[:-1]):  # the last edge has no later ones
+        # exact[c] has bit t set when e_{i+1+t} meets c of the vertices of
+        # e_i added so far; an edge that meets more than top drops out.
+        exact = [((1 << m) - 1) >> (i + 1)] + [0] * top
+        for v in vs:
+            x = inc[v] >> (i + 1)
+            out = ~x
+            for c in range(top, 0, -1):
+                exact[c] = exact[c] & out | exact[c - 1] & x
+            exact[0] &= out
+        for s, row in rows.items():
+            row[i] = exact[s]
     if suspension_width(profile, f.r) == f.r / 2:
         # The expanded triangle: pairwise intersections of size r/2 and no
         # triple region, so the third edge is the symmetric difference of the
@@ -460,7 +434,10 @@ def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
         # up, and each copy is found once, from its two smallest edges.
         edge_set = set(edges)
         for i, ei in enumerate(edges):
-            for ej in _picked(edges, i + 1, rows[f.r // 2][i]):
+            # Dense rows: one C-level pass over the binary digits, lowest first,
+            # with each 0 made a zero byte so that compress skips it.
+            digits = bin(rows[f.r // 2][i])[:1:-1].encode().replace(b"0", b"\0")
+            for ej in itertools.compress(edges[i + 1:], digits):
                 third = ei ^ ej
                 if third > ej and third in edge_set:
                     yield (ei, ej, third)
@@ -469,17 +446,19 @@ def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
     follow = {s12: [(rows[s13], rows[s23]) for s, s13, s23 in shapes if s == s12] for s12, _, _ in shapes}
     # A disjoint pair forces an empty triple region, which is then f's.
     free = 0 in rows
-    index = range(m)
+    # edge_vertices(row) lists a row's set bits t in ascending order.
     for i, ei in enumerate(edges):
         pairs = 0
         for s12 in follow:
             pairs |= rows[s12][i]
-        for j in _picked(index, i + 1, pairs):
+        for t in edge_vertices(pairs):
+            j = i + 1 + t
             ej = edges[j]
             eij = ei & ej
             third = 0
             for row13, row23 in follow[eij.bit_count()]:
                 third |= row13[i] >> (j - i) & row23[j]
-            for ek in _picked(edges, j + 1, third):
+            for t in edge_vertices(third):
+                ek = edges[j + 1 + t]
                 if free or (eij & ek).bit_count() == a123:
                     yield (ei, ej, ek)

@@ -332,10 +332,14 @@ class TestCopies:
             h = random_hypergraph(rng, n, f.r, density)
             assert list(copies_of(f, h)) == sorted(brute_force_copies(f, h))
 
-    @pytest.mark.parametrize("r, n, density, more_than", [(2, 18, 0.5, 64), (3, 12, 0.62, 128)])
+    @pytest.mark.parametrize(
+        "r, n, density, more_than",
+        [(2, 18, 0.5, 64), (3, 12, 0.62, 128), (4, 10, 0.5, 64), (5, 10, 0.4, 64), (6, 11, 0.25, 64)],
+    )
     def test_rows_over_several_words(self, r, n, density, more_than):
         # The early edges' intersection rows span more than one or two 64-bit
         # words, so a shift or mask that drops a word loses or invents copies.
+        # For r >= 4 the rows also count intersections of size 3 and more.
         h = random_hypergraph(random.Random(7), n, r, density)
         assert len(h.edges) > more_than
         expected = copies_by_profile(h)
