@@ -89,9 +89,6 @@ class Hypergraph(NamedTuple("Hypergraph", [("n", int), ("r", int), ("edges", tup
     def support_size(self) -> int:
         return self.support_mask.bit_count()
 
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(self.edges)
-
     def edge_vertex_lists(self) -> list[list[int]]:
         return [edge_vertices(e) for e in self.edges]
 
@@ -201,7 +198,7 @@ class VertexMap(NamedTuple("VertexMap", [("domain_size", int), ("codomain_size",
 
     def is_homomorphism(self, source: Hypergraph, target: Hypergraph) -> bool:
         """True when the image of every source edge is an edge of the target."""
-        target_edges, images = target.edge_set(), self.images
+        target_edges, images = frozenset(target.edges), self.images
         return all(edge_mask(images[v] for v in edge_vertices(e)) in target_edges for e in source.edges)
 
     def then(self, after: "VertexMap") -> "VertexMap":
@@ -389,12 +386,12 @@ def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
     The work grows with the pairs and copies found, not with m³ for m host
     edges. For each edge e_i and each pair size s that an order needs, a
     big-int row has bit t set when |e_i ∩ e_{i+1+t}| = s: one bit per edge
-    pair and size, about m²/2 bits each. The second edges e_j, j > i, are the
-    set bits of e_i's rows for the allowed |e_i∩e_j|; the third edges e_k,
-    k > j, are the set bits of (row_i[s13] >> (j - i)) & row_j[s23], ORed
-    over the orders with that |e_i∩e_j|. Both are walked in ascending order,
-    which gives the lexicographic order, and a candidate e_k is checked only
-    on its triple intersection.
+    pair and needed size. One loop takes each pair e_i, e_j (j > i) from the
+    set bits of e_i's rows and finds its third edges e_k, k > j, by lookup or
+    by rows: e_i ^ e_j for the width-r/2 expanded triangle, else the set bits
+    of (row_i[s13] >> (j - i)) & row_j[s23], ORed over the orders with that
+    |e_i∩e_j| and checked on the triple intersection. One walk, edge_vertices,
+    lists set bits in ascending order, which gives the lexicographic order.
     """
     profile = pattern_profile(f)
     if f.r != h.r:
@@ -427,26 +424,11 @@ def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
             exact[0] &= out
         for s, row in rows.items():
             row[i] = exact[s]
-    if suspension_width(profile, f.r) == f.r / 2:
-        # The expanded triangle: pairwise intersections of size r/2 and no
-        # triple region, so the third edge is the symmetric difference of the
-        # other two. Rows cannot filter an empty triple region, so it is looked
-        # up, and each copy is found once, from its two smallest edges.
-        edge_set = set(edges)
-        for i, ei in enumerate(edges):
-            # Dense rows: one C-level pass over the binary digits, lowest first,
-            # with each 0 made a zero byte so that compress skips it.
-            digits = bin(rows[f.r // 2][i])[:1:-1].encode().replace(b"0", b"\0")
-            for ej in itertools.compress(edges[i + 1:], digits):
-                third = ei ^ ej
-                if third > ej and third in edge_set:
-                    yield (ei, ej, third)
-        return
     # (row_i[s13], row_j[s23]) pairs that some shape allows after each |ei∩ej|.
     follow = {s12: [(rows[s13], rows[s23]) for s, s13, s23 in shapes if s == s12] for s12, _, _ in shapes}
-    # A disjoint pair forces an empty triple region, which is then f's.
-    free = 0 in rows
-    # edge_vertices(row) lists a row's set bits t in ascending order.
+    # The expanded triangle's third edge is ei ^ ej: one lookup, where rows,
+    # blind to its empty triple region, offer many candidates to check.
+    lookup = set(edges) if suspension_width(profile, f.r) == f.r / 2 else None
     for i, ei in enumerate(edges):
         pairs = 0
         for s12 in follow:
@@ -454,11 +436,17 @@ def copies_of(f: Hypergraph, h: Hypergraph) -> Iterator[tuple[int, int, int]]:
         for t in edge_vertices(pairs):
             j = i + 1 + t
             ej = edges[j]
+            if lookup is not None:
+                ek = ei ^ ej
+                # ek > ej: each copy is found once, from its two smallest edges.
+                if ek > ej and ek in lookup:
+                    yield (ei, ej, ek)
+                continue
             eij = ei & ej
             third = 0
             for row13, row23 in follow[eij.bit_count()]:
                 third |= row13[i] >> (j - i) & row23[j]
             for t in edge_vertices(third):
                 ek = edges[j + 1 + t]
-                if free or (eij & ek).bit_count() == a123:
+                if (eij & ek).bit_count() == a123:
                     yield (ei, ej, ek)

@@ -48,7 +48,7 @@ def deviation(h: Hypergraph, partition: Partition) -> DeviationReport:
     if partition.n != h.n:
         raise ValueError(f"partition is over {partition.n} vertices, hypergraph over {h.n}")
     complete = odd_bipartite(partition, h.r).edges
-    present, odd = h.edge_set(), frozenset(complete)
+    present, odd = frozenset(h.edges), frozenset(complete)
     bad = tuple(e for e in h.edges if e not in odd)
     missing = tuple(e for e in complete if e not in present)
     return DeviationReport(partition, bad, missing)
