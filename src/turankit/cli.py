@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .catalog import enumerate_three_edge, suspension_width, verify_classification
@@ -40,16 +40,19 @@ from .solver import (
     ResultCache,
     SolveRecord,
     STATUS_LOWER_BOUND,
+    check_at_least,
     density_sequence,
     export_cnf,
     export_ilp,
     forbidden_triples,
 )
-from .stability import best_partition, heavy_missing_vertices, link_partition_scan
+from .stability import best_partition, check_threshold, heavy_missing_vertices, link_partition_scan
 
 ENV_BUDGET_NODES = "TURANKIT_BUDGET_NODES"
 ENV_BUDGET_SECS = "TURANKIT_BUDGET_SECS"
 REFERENCE_LABEL = "asymptotic reference, not asserted"
+# Flag-algebra density bounds known for the width-i suspensions, by (i, r).
+_FLAG_BOUNDS = {(1, 5): "1/5", (2, 5): "152/499"}
 
 
 class UsageError(Exception):
@@ -123,27 +126,26 @@ def _map_text(vmap: VertexMap) -> str:
     return " ".join(f"{v}->{w}" for v, w in enumerate(vmap.images))
 
 
+def _edges_text(edges) -> str:
+    return " / ".join(" ".join(map(str, e)) for e in edges)
+
+
+def _deviation_row(report) -> dict:
+    """A deviation report as a stability row: part1 as comma-separated text, bad, missing, total."""
+    return {"part1": ",".join(map(str, report.partition.part1_vertices())),
+            "bad": report.bad, "missing": report.missing, "total": report.total}
+
+
 def _reference_lines(profile: tuple[int, ...], r: int) -> list[str]:
-    lines = [f"reference: 1/2 three-edge density cap ({REFERENCE_LABEL})"]
-    lines.append(
-        f"reference: floor(r/2)/r = {r // 2}/{r} "
-        f"= {r // 2 / r:.6g} ({REFERENCE_LABEL})"
-    )
+    lines = [
+        f"reference: 1/2 three-edge density cap ({REFERENCE_LABEL})",
+        f"reference: floor(r/2)/r = {r // 2}/{r} = {r // 2 / r:.6g} ({REFERENCE_LABEL})",
+    ]
     width = suspension_width(profile, r)
     if width is not None:
-        lines.append(
-            f"reference: i/r = {width}/{r} = {width / r:.6g} ({REFERENCE_LABEL})"
-        )
-    flag_bounds = {
-        (1, 5): Fraction(1, 5),
-        (2, 5): Fraction(152, 499),
-    }
-    if width is not None and (width, r) in flag_bounds:
-        bound = flag_bounds[(width, r)]
-        lines.append(
-            f"reference: {bound.numerator}/{bound.denominator} flag-algebra bound "
-            f"({REFERENCE_LABEL})"
-        )
+        lines.append(f"reference: i/r = {width}/{r} = {width / r:.6g} ({REFERENCE_LABEL})")
+        if (width, r) in _FLAG_BOUNDS:
+            lines.append(f"reference: {_FLAG_BOUNDS[width, r]} flag-algebra bound ({REFERENCE_LABEL})")
     return lines
 
 
@@ -228,7 +230,7 @@ def cmd_reduce(args) -> int:
             "verified": vmap.is_homomorphism(f1, target),
         }
         lines = [
-            "target edges: " + " / ".join(" ".join(map(str, e)) for e in payload["target_edges"]),
+            "target edges: " + _edges_text(payload["target_edges"]),
             "map: " + _map_text(vmap),
             f"verified homomorphism: {payload['verified']}",
         ]
@@ -245,8 +247,7 @@ def cmd_reduce(args) -> int:
             "map": list(trace.map.images),
         }
         lines = [
-            f"step {idx + 1}: fold {step['x']} -> {step['y']}; edges "
-            + " / ".join(" ".join(map(str, e)) for e in step["edges"])
+            f"step {idx + 1}: fold {step['x']} -> {step['y']}; edges " + _edges_text(step["edges"])
             for idx, step in enumerate(steps)
         ]
         lines += [f"status: {trace.status}", "map: " + _map_text(trace.map)]
@@ -307,7 +308,7 @@ def cmd_solve(args) -> int:
             f"density={density.numerator}/{density.denominator} = {float(density):.6g} "
             f"nodes={record.nodes} millis={record.millis}"
         )
-        lines.append("witness: " + " / ".join(" ".join(map(str, edge_vertices(e))) for e in record.witness))
+        lines.append("witness: " + _edges_text(map(edge_vertices, record.witness)))
         lines += _reference_lines(record.family_profile, record.r)
     _emit(args.format, record.to_json_dict(), lines)
     return 2 if record.status == STATUS_LOWER_BOUND else 0
@@ -342,15 +343,16 @@ def cmd_density(args) -> int:
         lines += _reference_lines(records[0].family_profile, records[0].r)
     payload = {"family": name, "records": [r.to_json_dict() for r in records]}
     _emit(args.format, payload, lines, rows)
-    if any(rec.status == STATUS_LOWER_BOUND for rec in records):
-        return 2
-    return 0
+    return 2 if any(rec.status == STATUS_LOWER_BOUND for rec in records) else 0
 
 
 def cmd_export(args) -> int:
     if args.at_least is not None and args.export_format != "cnf":
         raise UsageError("--at-least applies to --format cnf only")
     f, name = _resolve_family(args)
+    if args.at_least is not None:  # refused before the conflict build
+        check_capacity(args.n, f.r)
+        check_at_least(args.at_least, comb(args.n, f.r))
     system = forbidden_triples(f, args.n, name)
     if args.export_format == "cnf":
         text = export_cnf(system, at_least=args.at_least)
@@ -361,21 +363,14 @@ def cmd_export(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    if args.scan_links and args.threshold is not None:
-        raise UsageError("--threshold applies without --scan-links only")
+    if args.threshold is not None:
+        if args.scan_links:
+            raise UsageError("--threshold applies without --scan-links only")
+        check_threshold(args.threshold)  # before the partition scan
     h = _read_hypergraph(args.input)
     if args.scan_links:
         scan = link_partition_scan(h, balanced_only=args.balanced)
-        rows = [
-            {
-                "vertex": x,
-                "part1": ",".join(map(str, report.partition.part1_vertices())),
-                "bad": report.bad,
-                "missing": report.missing,
-                "total": report.total,
-            }
-            for x, report in enumerate(scan.rows)
-        ]
+        rows = [{"vertex": x, **_deviation_row(report)} for x, report in enumerate(scan.rows)]
         payload = {
             "rows": rows,
             "distances": [list(r) for r in scan.distances],
@@ -394,12 +389,12 @@ def cmd_stability(args) -> int:
         ]
     else:
         part, report = best_partition(h, balanced_only=args.balanced)
-        counts = {"bad": report.bad, "missing": report.missing, "total": report.total}
-        payload = {"part1": part.part1_vertices(), "sizes": list(part.sizes), **counts}
-        rows = [{"part1": ",".join(map(str, payload["part1"])), **counts}]
+        rows = [_deviation_row(report)]
+        _, *counts = rows[0].items()  # bad, missing, total
+        payload = {"part1": part.part1_vertices(), "sizes": list(part.sizes), **dict(counts)}
         lines = [
             f"best partition part1={payload['part1']} sizes={tuple(part.sizes)}",
-            f"bad={report.bad} missing={report.missing} total={report.total}",
+            " ".join(f"{key}={value}" for key, value in counts),
         ]
         if args.threshold is not None:
             payload["heavy_vertices"] = heavy_missing_vertices(h, part, args.threshold)
@@ -429,9 +424,9 @@ def _add_flags(p: _Parser, func) -> None:
         p.add_argument("--r", type=int)
         p.add_argument("--m", type=int)
     if func in (cmd_solve, cmd_density):
-        p.add_argument("--budget-nodes", type=int, dest="budget_nodes")
-        p.add_argument("--budget-secs", type=float, dest="budget_secs")
-        p.add_argument("--seed-construction", action="store_true", dest="seed_construction",
+        p.add_argument("--budget-nodes", type=int)
+        p.add_argument("--budget-secs", type=float)
+        p.add_argument("--seed-construction", action="store_true",
                        help="seed the incumbent from the odd-bipartite construction when applicable")
     if func in (cmd_solve, cmd_export):
         p.add_argument("--n", type=int, required=True)
@@ -446,24 +441,24 @@ def _add_flags(p: _Parser, func) -> None:
         part = p.add_mutually_exclusive_group()
         part.add_argument("--part1", type=_vertex_list,
                           help="comma-separated part1 vertices (odd-bipartite)")
-        part.add_argument("--part1-size", type=int, dest="part1_size")
+        part.add_argument("--part1-size", type=int)
         part.add_argument("--best", action="store_true", help="pick the edge-maximizing part sizes")
         p.add_argument("--output")
     elif func is cmd_classify:
         p.add_argument("--r", type=int, required=True)
     elif func is cmd_reduce:
         p.add_argument("--input", required=True)
-        p.add_argument("--to-degree3", action="store_true", dest="to_degree3",
+        p.add_argument("--to-degree3", action="store_true",
                        help="reduce into a max-degree-3 target instead of the plain fold chain")
     elif func is cmd_hom:
         p.add_argument("--source", required=True)
         p.add_argument("--target", required=True)
     elif func is cmd_density:
-        p.add_argument("--n-from", type=int, required=True, dest="n_from")
-        p.add_argument("--n-to", type=int, required=True, dest="n_to")
+        p.add_argument("--n-from", type=int, required=True)
+        p.add_argument("--n-to", type=int, required=True)
     elif func is cmd_export:
         p.add_argument("--format", choices=("cnf", "ilp"), required=True, dest="export_format")
-        p.add_argument("--at-least", type=int, dest="at_least",
+        p.add_argument("--at-least", type=int,
                        help="CNF only: also require at least this many selected edges")
         p.add_argument("--output")
     elif func is cmd_stability:
@@ -471,7 +466,7 @@ def _add_flags(p: _Parser, func) -> None:
         p.add_argument("--balanced", action="store_true",
                        help="restrict the partition scan to near-balanced part sizes")
         p.add_argument("--threshold", type=int)
-        p.add_argument("--scan-links", action="store_true", dest="scan_links",
+        p.add_argument("--scan-links", action="store_true",
                        help="per-vertex link partition table (odd uniformity)")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from functools import reduce
 from math import factorial, perm, prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -80,10 +81,7 @@ class Hypergraph(NamedTuple("Hypergraph", [("n", int), ("r", int), ("edges", tup
 
     @property
     def support_mask(self) -> int:
-        mask = 0
-        for e in self.edges:
-            mask |= e
-        return mask
+        return reduce(operator.or_, self.edges, 0)
 
     @property
     def support_size(self) -> int:
@@ -157,13 +155,11 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 def min_positive_degree(h: Hypergraph) -> int:
     """Smallest degree among non-isolated vertices; 0 if there are no edges."""
-    degs = [d for d in h.degrees() if d > 0]
-    return min(degs) if degs else 0
+    return min((d for d in h.degrees() if d > 0), default=0)
 
 
 def max_degree(h: Hypergraph) -> int:
-    degs = h.degrees()
-    return max(degs) if degs else 0
+    return max(h.degrees(), default=0)
 
 
 def link(h: Hypergraph, v: int) -> Hypergraph:

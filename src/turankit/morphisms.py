@@ -100,19 +100,12 @@ def fold_vertex(f: Hypergraph, x: int, y: int) -> tuple[Hypergraph, VertexMap]:
 def _fold_pair(f: Hypergraph, onto: int) -> tuple[int, int]:
     """Smallest (x, y) with deg(x) = 1 and y a vertex of the bit vector onto
     that lies in another edge, outside x's edge."""
-    degs = f.degrees()
-    for x in range(f.n):
-        if degs[x] != 1:
-            continue
-        xb = 1 << x
-        host = next(e for e in f.edges if e & xb)
-        others = 0
-        for e in f.edges:
-            if e != host:
-                others |= e
-        candidates = others & ~host & onto
-        if candidates:
-            return x, edge_vertices(candidates)[0]
+    for x, degree in enumerate(f.degrees()):
+        if degree == 1:
+            host = next(e for e in f.edges if e >> x & 1)
+            # The other edges, less the host, are the support less the host.
+            if candidates := f.support_mask & ~host & onto:
+                return x, edge_vertices(candidates)[0]
     raise ValueError("no admissible fold pair; is the minimum degree 1?")
 
 

@@ -624,6 +624,12 @@ def audit_density_monotone(records: Sequence[SolveRecord]) -> None:
 _CHUNK = 1 << 12
 
 
+def check_at_least(at_least: int, m: int) -> None:
+    """The one range rule of export_cnf's at_least: 0..m for m ground edges."""
+    if not 0 <= at_least <= m:
+        raise ValueError(f"cannot require {at_least} of {m} edges")
+
+
 def export_cnf(system: TripleSystem, at_least: Optional[int] = None) -> str:
     """DIMACS CNF for the conflict system.
 
@@ -641,8 +647,7 @@ def export_cnf(system: TripleSystem, at_least: Optional[int] = None) -> str:
     conflicts = system.conflicts
     nvars, nclauses, counter = m, len(conflicts), []
     if at_least is not None:
-        if not 0 <= at_least <= m:
-            raise ValueError(f"cannot require {at_least} of {m} edges")
+        check_at_least(at_least, m)
         if at_least > 0:
             nvars, extra, counter = _at_most_k_sequential(m, m - at_least)
             nclauses += extra

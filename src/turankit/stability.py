@@ -105,14 +105,19 @@ def partition_distance(p: Partition, q: Partition) -> int:
     return min(direct, swapped)
 
 
+def check_threshold(threshold: int) -> None:
+    """The one rule of the heavy-vertex threshold."""
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
+
+
 def heavy_missing_vertices(h: Hypergraph, partition: Partition, threshold: int) -> list[int]:
     """Vertices whose degree in the missing-edge set reaches the threshold.
 
     Satisfies the counting bound |result| * threshold <= r * #missing, since
     each missing edge contributes r to the total missing degree.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    check_threshold(threshold)
     degs = Hypergraph(h.n, h.r, deviation(h, partition).missing_edges).degrees()
     return [v for v in range(h.n) if degs[v] >= threshold]
 

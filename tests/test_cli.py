@@ -553,6 +553,19 @@ class TestExport:
         assert code == 1 and out == ""
         assert "--at-least" in err
 
+    @pytest.mark.parametrize("at_least", ["-1", "16"])
+    def test_at_least_out_of_range_refused_before_the_conflict_build(self, capsys, monkeypatch, at_least):
+        def no_build(*args, **kwargs):
+            raise AssertionError("conflicts built before the --at-least check")
+
+        monkeypatch.setattr(cli, "forbidden_triples", no_build)
+        # C(6, 2) = 15 ground edges
+        code, out, err = run(
+            capsys, "export", "--family", "triangle", "--n", "6",
+            "--format", "cnf", "--at-least", at_least,
+        )
+        assert (code, out, err) == (1, "", f"error: cannot require {at_least} of 15 edges\n")
+
     def test_ilp_to_file(self, capsys, tmp_path):
         target = tmp_path / "model.lp"
         code, _, _ = run(
@@ -563,6 +576,30 @@ class TestExport:
         text = target.read_text()
         assert text.startswith("\\ conflict-free edge selection")
         assert text.count("<= 2") == 20
+
+
+# stdout of `stability` per --format on a graph whose bad and missing counts differ
+BAD_NOT_MISSING = {
+    "table": "best partition part1=[0, 1, 2, 3] sizes=(4, 4)\nbad=0 missing=2 total=2\n",
+    "csv": 'part1,bad,missing,total\r\n"0,1,2,3",0,2,2\r\n',
+    "json": '{"part1": [0, 1, 2, 3], "sizes": [4, 4], "bad": 0, "missing": 2, "total": 2}\n',
+}
+# the same for `stability --scan-links`; json as its (vertex, part1, bad, missing, total) rows
+LINKS_BAD_NOT_MISSING = {
+    "table": "vertex part1                  bad  missing  total\n"
+             "     0 0,3,4,5                  1        2      3\n"
+             "     1 0                        1        1      2\n"
+             "     2 0                        0        1      1\n"
+             "     3 0,1,2,3,4,5              3        0      3\n"
+             "     4 0,1,2,3,4,5              2        0      2\n"
+             "     5 0,1,2,3,4,5              3        0      3\n"
+             "max pairwise distance: 3\n"
+             "mean pairwise distance: 1.2000\n",
+    "csv": 'vertex,part1,bad,missing,total\r\n0,"0,3,4,5",1,2,3\r\n1,0,1,1,2\r\n2,0,0,1,1\r\n'
+           '3,"0,1,2,3,4,5",3,0,3\r\n4,"0,1,2,3,4,5",2,0,2\r\n5,"0,1,2,3,4,5",3,0,3\r\n',
+    "json": [(0, "0,3,4,5", 1, 2, 3), (1, "0", 1, 1, 2), (2, "0", 0, 1, 1),
+             (3, "0,1,2,3,4,5", 3, 0, 3), (4, "0,1,2,3,4,5", 2, 0, 2), (5, "0,1,2,3,4,5", 3, 0, 3)],
+}
 
 
 class TestReduceHomStability:
@@ -615,6 +652,41 @@ class TestReduceHomStability:
             assert code == 0
             assert "heavy vertices (threshold 0): [0, 1, 2, 3, 4, 5]" in out
             assert err == "warning: threshold 0 selects every vertex\n"
+
+    def test_stability_negative_threshold_refused_before_the_scan(self, capsys, tmp_path, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("partitions scanned before the threshold check")
+
+        monkeypatch.setattr(cli, "best_partition", no_scan)
+        source = tmp_path / "b.hg"
+        source.write_text(format_hypergraph(odd_bipartite(Partition.from_part1(6, [0]), 4)))
+        code, out, err = run(capsys, "stability", "--input", str(source), "--threshold", "-1")
+        assert (code, out, err) == (1, "", "error: threshold must be non-negative\n")
+
+    @pytest.mark.parametrize("fmt", list(BAD_NOT_MISSING))
+    def test_stability_bad_and_missing_differ(self, capsys, tmp_path, fmt):
+        # The complete odd-bipartite 4-graph over part1 {0, 1, 2, 3} less its
+        # two smallest edges: no bad edge and two missing ones.
+        full = odd_bipartite(Partition(8, 0b1111), 4)
+        source = tmp_path / "b.hg"
+        source.write_text(format_hypergraph(from_masks(8, 4, full.edges[2:])))
+        code, out, _ = run(capsys, "--format", fmt, "stability", "--input", str(source))
+        assert (code, out) == (0, BAD_NOT_MISSING[fmt])
+
+    @pytest.mark.parametrize("fmt", list(LINKS_BAD_NOT_MISSING))
+    def test_stability_scan_links_bad_and_missing_differ(self, capsys, tmp_path, fmt):
+        # Edges {0, a, b} for a in {1, 2} and b in {3, 4, 5}, {0, 1, 2} and
+        # {1, 3, 5}: the link rows' (bad, missing) are (1, 2), (1, 1), (0, 1),
+        # (3, 0), (2, 0) and (3, 0).
+        edges = [(0, a, b) for a in (1, 2) for b in (3, 4, 5)] + [(0, 1, 2), (1, 3, 5)]
+        source = tmp_path / "s.hg"
+        source.write_text(format_hypergraph(make_hypergraph(6, 3, edges)))
+        code, out, _ = run(capsys, "--format", fmt, "stability", "--input", str(source), "--scan-links")
+        assert code == 0
+        if fmt == "json":
+            rows = json.loads(out)["rows"]
+            out = [(row["vertex"], row["part1"], row["bad"], row["missing"], row["total"]) for row in rows]
+        assert out == LINKS_BAD_NOT_MISSING[fmt]
 
     @pytest.mark.parametrize("threshold", ["0", "2"])
     def test_stability_threshold_with_scan_links_rejected(self, capsys, tmp_path, threshold):
@@ -739,10 +811,14 @@ class TestErrors:
             (["density", "--family", "expanded-triangle", "--k", "4", "--n-from", "20", "--n-to", "26",
               "--seed-construction"], "727,476,750 conflicts exceed the build limit 10,000,000"),
             (["stability", "--input", "n25.hg"], "16,777,216 partitions exceed the build limit 10,000,000"),
+            # Over the conflict limit too (13,613,600 at n = 18), but --at-least is checked first.
+            (["export", "--family", "expanded-triangle", "--k", "3", "--n", "18", "--format", "cnf",
+              "--at-least", "-1"], "cannot require -1 of 18564 edges"),
         ],
         ids=["odd-bipartite-best-n", "odd-bipartite-best-k", "part1-negative",
              "part1-size-negative", "solve-seeded-n", "density-past-64", "stability-header-r",
-             "density-conflicts", "density-seeded-conflicts", "stability-partitions"],
+             "density-conflicts", "density-seeded-conflicts", "stability-partitions",
+             "export-at-least-over-conflicts"],
     )
     def test_runaway_sizes_exit_at_once(self, capsys, tmp_path, monkeypatch, argv, message):
         # Each is refused before anything of its size is built, scanned or
